@@ -326,10 +326,10 @@ BENCHMARK(BM_GemmTransBPrecise)->Arg(64)->Arg(128);
 // ConvGemmBatched entry the conv layer issues.  batch=1 is the
 // pre-batching per-sample lowering; batch=8 is the wide Fast-profile
 // block (kConvBatchBlock).  Fast runs the cache-blocked register-tiled
-// kernel, Precise the naive serial-order reference — the Fast/Precise
-// ratio at batch=1 is the tiled-vs-naive speedup the PR-3 acceptance
-// tracks, and SetItemsProcessed counts FLOPs so the reported
-// items_per_second is FLOP/s.
+// kernel, Precise the register-blocked strict-FP kernels — the
+// Fast/Precise ratio at batch=1 is the in-enclave kernel penalty, and
+// SetItemsProcessed counts FLOPs so the reported items_per_second is
+// FLOP/s.
 void BM_ConvGemm(benchmark::State& state, nn::KernelProfile profile,
                  std::size_t m, std::size_t n, std::size_t k, int batch) {
   util::ScopedThreads guard(1);
@@ -365,6 +365,53 @@ CALTRAIN_CONV_GEMM_BENCH(L4_conv64_3x3, 64, 196, 1152);
 CALTRAIN_CONV_GEMM_BENCH(L6_conv128_3x3, 128, 49, 576);
 CALTRAIN_CONV_GEMM_BENCH(L7_conv10_1x1, 10, 49, 128);
 #undef CALTRAIN_CONV_GEMM_BENCH
+// Table II(16) front convs (the enclosed layers of the perfbench train
+// workload): Precise and Fast forward at batch 1.
+BENCHMARK_CAPTURE(BM_ConvGemm, T2s16_L1_conv8_3x3_fast_b1,
+                  nn::KernelProfile::kFast, 8, 784, 27, 1);
+BENCHMARK_CAPTURE(BM_ConvGemm, T2s16_L1_conv8_3x3_precise_b1,
+                  nn::KernelProfile::kPrecise, 8, 784, 27, 1);
+BENCHMARK_CAPTURE(BM_ConvGemm, T2s16_L2_conv8_3x3_fast_b1,
+                  nn::KernelProfile::kFast, 8, 784, 72, 1);
+BENCHMARK_CAPTURE(BM_ConvGemm, T2s16_L2_conv8_3x3_precise_b1,
+                  nn::KernelProfile::kPrecise, 8, 784, 72, 1);
+
+// The conv backward GEMM pair (weight gradient dot products + the
+// column-space input gradient) through ConvGemmBackward, single-thread
+// at batch 1 — about two thirds of a Precise conv layer's time.  FLOPs
+// count both GEMMs.
+void BM_ConvGemmBackward(benchmark::State& state, nn::KernelProfile profile,
+                         std::size_t m, std::size_t n, std::size_t k) {
+  util::ScopedThreads guard(1);
+  Rng rng(5);
+  std::vector<float> w(m * k), delta(m * n), col(k * n), dw(m * k),
+      col_delta(k * n);
+  for (float& x : w) x = rng.Gaussian();
+  for (float& x : delta) x = rng.Gaussian();
+  for (float& x : col) x = rng.Gaussian();
+  for (auto _ : state) {
+    std::fill(dw.begin(), dw.end(), 0.0F);
+    nn::ConvGemmBackward(profile, m, n, k, 1, w.data(), delta.data(),
+                         col.data(), dw.data(), col_delta.data());
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::DoNotOptimize(col_delta.data());
+  }
+  state.counters["m"] = static_cast<double>(m);
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["k"] = static_cast<double>(k);
+  state.counters["threads"] = 1;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4 *
+                          static_cast<std::int64_t>(m * n * k));
+}
+#define CALTRAIN_CONV_BWD_BENCH(layer, m, n, k)                        \
+  BENCHMARK_CAPTURE(BM_ConvGemmBackward, layer##_fast_b1,              \
+                    nn::KernelProfile::kFast, m, n, k);                \
+  BENCHMARK_CAPTURE(BM_ConvGemmBackward, layer##_precise_b1,           \
+                    nn::KernelProfile::kPrecise, m, n, k)
+CALTRAIN_CONV_BWD_BENCH(T2s16_L1_conv8_3x3, 8, 784, 27);
+CALTRAIN_CONV_BWD_BENCH(T2s16_L2_conv8_3x3, 8, 784, 72);
+CALTRAIN_CONV_BWD_BENCH(L1_conv128_3x3, 128, 784, 27);
+#undef CALTRAIN_CONV_BWD_BENCH
 
 // Serial-vs-parallel comparison for the row-blocked parallel GEMM
 // runtime (util::ParallelFor over contiguous row blocks).  threads=1 is

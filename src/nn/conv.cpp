@@ -53,8 +53,9 @@ float ConvLayer::EpilogueSlope() const noexcept {
 void ConvLayer::SizeScratch(LayerScratch& scratch, int batch_n) const {
   // Sized once per batch shape from the network (no zero fill: every
   // element is overwritten by im2col / the activation-gradient copy /
-  // the overwrite-mode GEMM before it is read).  Capacity is the Fast
-  // block size; the Precise profile simply uses a 1-sample prefix.
+  // the overwrite-mode GEMM before it is read).  Capacity is one
+  // BlockSamples block, which Forward and Backward lower for both
+  // profiles alike.
   const std::size_t m = static_cast<std::size_t>(filters_);
   const std::size_t k =
       static_cast<std::size_t>(in_shape_.c) * ksize_ * ksize_;

@@ -6,12 +6,12 @@
 // kConvBatchBlock samples into one wide [k x block*n] column buffer.
 // The Fast profile issues a single tiled GEMM per block with the bias
 // broadcast and leaky-ReLU folded into the GEMM epilogue; the Precise
-// profile iterates the wide buffer sample by sample at the seed's
-// exact serial arithmetic order (in-enclave fidelity).  When the whole
-// batch fits one block — always true for training shards — Backward
-// reuses the forward im2col instead of re-lowering, and training
-// passes skip the first layer's input gradient entirely
-// (LayerContext::want_input_grad).
+// profile iterates the wide buffer sample by sample with strict-FP
+// kernels that keep the reference loops' per-element arithmetic order
+// (in-enclave fidelity).  When the whole batch fits one block — always
+// true for training shards — Backward reuses the forward im2col
+// instead of re-lowering, and training passes skip the first layer's
+// input gradient entirely (LayerContext::want_input_grad).
 #pragma once
 
 #include "nn/layer.hpp"

@@ -2,18 +2,22 @@
 //
 // kFast is built with -O3 -ffast-math (reassociation lets the compiler
 // vectorize the reduction loops) and models the ML-accelerated path
-// available *outside* an SGX enclave.  kPrecise is built with plain -O3,
-// mirroring the paper's observation (Sec. VI-C) that -ffast-math-style
-// floating acceleration is ineffective for enclaved code.  Both compute
-// the same GEMM; the measured speed difference is what the Fig. 6
-// benchmark reports as in-enclave overhead.
+// available *outside* an SGX enclave.  kPrecise is strict IEEE (-O3
+// -ffp-contract=off, never fast-math), mirroring the paper's
+// observation (Sec. VI-C) that -ffast-math-style floating acceleration
+// is ineffective for enclaved code: no reassociation, no contraction
+// into FMA, and SIMD only across independent output elements.  Both
+// compute the same GEMM; the measured speed difference is what the
+// Fig. 6 benchmark reports as in-enclave overhead.
 //
-// Kernel architecture (PR 3): the Fast profile routes non-trivial
-// shapes through a cache-blocked, register-tiled micro-kernel
-// (gemm_tile.inc) — A/B packed into per-thread workspace panels, a
-// 6x16 register tile with zero-padded edges, runtime ISA dispatch via
-// target_clones — while the Precise profile keeps the exact
-// serial-order AXPY/dot loops (gemm_body.inc) for in-enclave fidelity.
+// Kernel architecture: the Fast profile routes non-trivial shapes
+// through a cache-blocked, register-tiled micro-kernel (gemm_tile.inc)
+// — A/B packed into per-thread workspace panels, a 6x16 register tile
+// with zero-padded edges, runtime ISA dispatch via target_clones.  The
+// Precise profile (gemm_precise.cpp) runs register-blocked kernels
+// whose every output element sees exactly the operation sequence of
+// the serial reference loops in gemm_body.inc, so its results are
+// bit-identical to them in portable and -march=native builds alike.
 // The tiled block plan (KC/MC/NC/MR/NR) is fixed and independent of
 // the thread count, and parallel dispatch only ever splits disjoint
 // output tiles, so Fast results stay bit-identical at any thread count
@@ -92,9 +96,9 @@ void GemmTransBExPrecise(std::size_t m, std::size_t n, std::size_t k,
 /// [m x n] each (the network's batch layout), and for every sample
 ///   out_s = leaky(weights[m x k] * col_s + bias)   (overwrite).
 /// The Fast build issues one wide tiled GEMM whose store phase scatters
-/// tile columns across sample planes; the Precise build runs the exact
-/// per-sample serial loop (bias-seeded AXPY, then activation) so the
-/// in-enclave arithmetic order is unchanged from the unbatched path.
+/// tile columns across sample planes; the Precise build runs sample by
+/// sample with each element's reference order (bias seed, ascending-k
+/// AXPY, then activation), unchanged from the unbatched path.
 void ConvGemmBatchedFast(std::size_t m, std::size_t n, std::size_t k,
                          int batch, const float* weights,
                          const float* col_wide, const float* bias,
@@ -111,8 +115,8 @@ void ConvGemmBatchedPrecise(std::size_t m, std::size_t n, std::size_t k,
 ///   col_delta[k x batch*n] = weights^T * delta_wide    (overwrite;
 ///                            skipped when col_delta == nullptr)
 /// The Fast build issues two wide tiled GEMMs; the Precise build runs
-/// the exact per-sample serial loops of the unbatched lowering
-/// (bit-identical to the seed arithmetic, sample by sample).
+/// them sample by sample in the order of the unbatched lowering, each
+/// element bit-identical to the reference loops.
 void ConvGemmBackwardFast(std::size_t m, std::size_t n, std::size_t k,
                           int batch, const float* weights,
                           const float* delta_wide, const float* col_wide,

@@ -1,25 +1,35 @@
-// GEMM substrate parity suite (PR 3).
+// GEMM substrate parity suite.
 //
 // The Fast profile routes non-trivial shapes through the cache-blocked
-// register-tiled core (gemm_tile.inc) while Precise keeps the naive
-// serial-order loops; these tests pin the two contracts that refactor
-// must preserve:
+// register-tiled core (gemm_tile.inc); the Precise profile runs
+// register-blocked strict-FP kernels (gemm_precise.cpp).  These tests
+// pin the contracts both must preserve:
 //  * parity — tiled Fast results match the Precise reference within a
 //    k-scaled tolerance across odd/tail shapes (every m, n, k
 //    combination of {1, 3, 5, 17, 33, 63} plus block-boundary shapes
 //    that cross the KC/MC/NC plan), for all three storage orders and
 //    the epilogue variants;
+//  * strict FP — every Precise entry point is memcmp-equal to the
+//    naive reference loops of gemm_body.inc, compiled into this file
+//    under the suffix Ref (this TU, like gemm_precise.cpp, is built
+//    with -ffp-contract=off);
 //  * determinism — Fast results (tiled or fallback, epilogue or not,
 //    batched conv included) are bit-identical at threads 1/2/3/8.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "nn/kernels.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
+
+// The reference loops: GemmRef, GemmExRef, ..., ConvGemmBackwardRef.
+#define CALTRAIN_GEMM_SUFFIX Ref
+#include "nn/gemm_body.inc"
+#undef CALTRAIN_GEMM_SUFFIX
 
 namespace caltrain::nn {
 namespace {
@@ -363,6 +373,175 @@ TEST(GemmDeterminismTest, BatchedCol2ImMatchesPerSample) {
     ASSERT_EQ(0, std::memcmp(expected.data(), got.data(),
                              got.size() * sizeof(float)))
         << "threads=" << threads;
+  }
+}
+
+// ------------------------------------------------- Precise vs reference
+// The Precise kernels reorder loops and hold C in registers, but every
+// output element must see the reference loop's exact operation
+// sequence — so the results are compared with memcmp, not a tolerance.
+
+/// Gaussian entries with about one in eight replaced by a signed zero,
+/// so the seed and sum sign rules are pinned as well.
+void FillWithSignedZeros(std::vector<float>& v, Rng& rng) {
+  for (float& x : v) {
+    const std::uint64_t r = rng.UniformU64(16);
+    x = r == 0 ? 0.0F : (r == 1 ? -0.0F : rng.Gaussian());
+  }
+}
+
+::testing::AssertionResult SameBits(const std::vector<float>& got,
+                                    const std::vector<float>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size()
+                                         << " vs " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "first differing element " << i << ": " << got[i]
+             << " vs reference " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<GemmShape> PreciseTailShapes() {
+  const std::size_t dims[] = {1, 3, 4, 5, 7, 8, 9, 17, 33};
+  std::vector<GemmShape> shapes;
+  for (std::size_t m : dims) {
+    for (std::size_t n : dims) {
+      for (std::size_t k : dims) shapes.push_back({m, n, k});
+    }
+  }
+  return shapes;
+}
+
+/// Conv GEMM lowerings (m filters, n output pixels, k = c*ksize^2): the
+/// Table II(16) front convs, FaceNet(width/2)'s first two convs, and odd
+/// shapes whose tails hit every kernel edge.
+std::vector<GemmShape> PreciseConvShapes() {
+  return {{8, 784, 27}, {8, 784, 72}, {32, 1024, 27}, {64, 256, 288},
+          {1, 1, 1},    {3, 17, 5},   {9, 33, 7},     {5, 9, 33}};
+}
+
+/// Epilogue variant `mask`: bit 0 accumulate, bit 1 row bias, bit 2
+/// col bias, bit 3 leaky slope 0.1 (else identity).
+GemmEpilogue EpilogueVariant(unsigned mask, const float* row_bias,
+                             const float* col_bias) {
+  GemmEpilogue epi;
+  epi.accumulate = (mask & 1U) != 0;
+  epi.row_bias = (mask & 2U) != 0 ? row_bias : nullptr;
+  epi.col_bias = (mask & 4U) != 0 ? col_bias : nullptr;
+  epi.negative_slope = (mask & 8U) != 0 ? 0.1F : 1.0F;
+  return epi;
+}
+
+using PlainFn = void (*)(std::size_t, std::size_t, std::size_t,
+                         const float*, const float*, float*);
+using ExFn = void (*)(std::size_t, std::size_t, std::size_t, const float*,
+                      const float*, float*, const GemmEpilogue&);
+
+TEST(GemmPreciseTest, GemmFormsMatchReferenceBitForBit) {
+  // A holds m*k and B k*n floats in every storage order, so one pair
+  // of operands serves all three forms.  The plain entry points run
+  // once per shape; the *Ex ones under all 16 epilogue variants.
+  struct Form {
+    const char* name;
+    PlainFn precise, ref;
+    ExFn precise_ex, ref_ex;
+  };
+  const Form forms[] = {
+      {"Gemm", GemmPrecise, GemmRef, GemmExPrecise, GemmExRef},
+      {"GemmTransA", GemmTransAPrecise, GemmTransARef, GemmTransAExPrecise,
+       GemmTransAExRef},
+      {"GemmTransB", GemmTransBPrecise, GemmTransBRef, GemmTransBExPrecise,
+       GemmTransBExRef}};
+  for (const GemmShape& s : PreciseTailShapes()) {
+    Rng rng(900 + s.m * 101 + s.n * 13 + s.k);
+    std::vector<float> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n),
+        row_bias(s.m), col_bias(s.n);
+    FillWithSignedZeros(a, rng);
+    FillWithSignedZeros(b, rng);
+    FillWithSignedZeros(c0, rng);
+    FillWithSignedZeros(row_bias, rng);
+    FillWithSignedZeros(col_bias, rng);
+    for (const Form& f : forms) {
+      std::vector<float> got = c0, want = c0;
+      f.precise(s.m, s.n, s.k, a.data(), b.data(), got.data());
+      f.ref(s.m, s.n, s.k, a.data(), b.data(), want.data());
+      ASSERT_TRUE(SameBits(got, want)) << f.name << " m=" << s.m
+                                       << " n=" << s.n << " k=" << s.k;
+      for (unsigned mask = 0; mask < 16; ++mask) {
+        const GemmEpilogue epi =
+            EpilogueVariant(mask, row_bias.data(), col_bias.data());
+        got = c0;
+        want = c0;
+        f.precise_ex(s.m, s.n, s.k, a.data(), b.data(), got.data(), epi);
+        f.ref_ex(s.m, s.n, s.k, a.data(), b.data(), want.data(), epi);
+        ASSERT_TRUE(SameBits(got, want))
+            << f.name << "Ex m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " epilogue=" << mask;
+      }
+    }
+  }
+}
+
+TEST(GemmPreciseTest, ConvForwardMatchesReferenceBitForBit) {
+  // Batches 1..5 read each sample's columns out of a wide buffer
+  // (ldb = batch*n > n).
+  for (const GemmShape& s : PreciseConvShapes()) {
+    for (int batch = 1; batch <= 5; ++batch) {
+      const std::size_t wn = static_cast<std::size_t>(batch) * s.n;
+      Rng rng(1100 + s.m * 7 + s.n + s.k * 3 + batch);
+      std::vector<float> w(s.m * s.k), col(s.k * wn), bias(s.m);
+      FillWithSignedZeros(w, rng);
+      FillWithSignedZeros(col, rng);
+      FillWithSignedZeros(bias, rng);
+      for (float slope : {1.0F, 0.1F}) {
+        std::vector<float> got(s.m * wn, -3.0F), want(s.m * wn, -3.0F);
+        ConvGemmBatchedPrecise(s.m, s.n, s.k, batch, w.data(), col.data(),
+                               bias.data(), slope, got.data());
+        ConvGemmBatchedRef(s.m, s.n, s.k, batch, w.data(), col.data(),
+                           bias.data(), slope, want.data());
+        ASSERT_TRUE(SameBits(got, want))
+            << "m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " batch=" << batch << " slope=" << slope;
+      }
+    }
+  }
+}
+
+TEST(GemmPreciseTest, ConvBackwardMatchesReferenceBitForBit) {
+  // dW accumulates into non-zero gradients sample by sample; the input
+  // gradient is overwritten, or skipped when col_delta is null.
+  for (const GemmShape& s : PreciseConvShapes()) {
+    for (int batch = 1; batch <= 5; ++batch) {
+      const std::size_t wn = static_cast<std::size_t>(batch) * s.n;
+      Rng rng(1300 + s.m * 7 + s.n + s.k * 3 + batch);
+      std::vector<float> w(s.m * s.k), delta(s.m * wn), col(s.k * wn),
+          dw0(s.m * s.k);
+      FillWithSignedZeros(w, rng);
+      FillWithSignedZeros(delta, rng);
+      FillWithSignedZeros(col, rng);
+      FillWithSignedZeros(dw0, rng);
+      for (bool want_input_grad : {true, false}) {
+        std::vector<float> dw_got = dw0, dw_want = dw0;
+        std::vector<float> cd_got(s.k * wn, 5.0F), cd_want(s.k * wn, 5.0F);
+        ConvGemmBackwardPrecise(s.m, s.n, s.k, batch, w.data(), delta.data(),
+                                col.data(), dw_got.data(),
+                                want_input_grad ? cd_got.data() : nullptr);
+        ConvGemmBackwardRef(s.m, s.n, s.k, batch, w.data(), delta.data(),
+                            col.data(), dw_want.data(),
+                            want_input_grad ? cd_want.data() : nullptr);
+        ASSERT_TRUE(SameBits(dw_got, dw_want))
+            << "dW m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " batch=" << batch;
+        ASSERT_TRUE(SameBits(cd_got, cd_want))
+            << "col_delta m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " batch=" << batch << " input_grad=" << want_input_grad;
+      }
+    }
   }
 }
 
