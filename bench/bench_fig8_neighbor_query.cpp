@@ -114,21 +114,11 @@ std::size_t RunLinkageSubstrate(const bench::BenchProfile& profile,
   std::size_t mismatches =
       batch_db.Serialize() == serial_db.Serialize() ? 0U : 1U;
 
-  // --- index build (all per-class segments, on the pool).
-  double rebuild_ms = 0.0;
-  {
-    util::ScopedThreads many(parallel_threads);
-    Stopwatch timer;
-    batch_db.RebuildIndexes();
-    rebuild_ms = timer.ElapsedMillis();
-  }
-
   // --- query latency: serial QueryNearest loop vs QueryNearestBatch.
   std::vector<std::vector<linkage::QueryMatch>> serial_answers(num_queries);
   double query_serial_ms = 0.0;
   {
     util::ScopedThreads one(1);
-    serial_db.RebuildIndexes();  // pre-build so the loop times queries only
     Stopwatch timer;
     for (std::size_t i = 0; i < num_queries; ++i) {
       serial_answers[i] = serial_db.QueryNearest(queries[i], labels[i], k);
@@ -168,10 +158,6 @@ std::size_t RunLinkageSubstrate(const bench::BenchProfile& profile,
               ("InsertBatch (threads=" + std::to_string(parallel_threads) +
                ")").c_str(),
               insert_batch_ms, 1e6 * insert_batch_ms / dn);
-  std::printf("  %-28s %-10.2f %.0f ns/tuple\n",
-              ("RebuildIndexes (threads=" + std::to_string(parallel_threads) +
-               ")").c_str(),
-              rebuild_ms, 1e6 * rebuild_ms / dn);
   std::printf("  %-28s %-10.2f %.0f ns/query\n", "QueryNearest (threads=1)",
               query_serial_ms, 1e6 * query_serial_ms / dq);
   std::printf("  %-28s %-10.2f %.0f ns/query\n",
@@ -185,9 +171,6 @@ std::size_t RunLinkageSubstrate(const bench::BenchProfile& profile,
                             1e6 * insert_serial_ms / dn, 1));
   rows.push_back(LatencyRow("BM_LinkageInsertBatch", corpus_shape,
                             1e6 * insert_batch_ms / dn,
-                            static_cast<int>(parallel_threads)));
-  rows.push_back(LatencyRow("BM_LinkageRebuildIndexes", corpus_shape,
-                            1e6 * rebuild_ms / dn,
                             static_cast<int>(parallel_threads)));
   rows.push_back(LatencyRow("BM_LinkageQuery/k9", corpus_shape,
                             1e6 * query_serial_ms / dq, 1));

@@ -21,7 +21,6 @@
 #include "enclave/attestation.hpp"
 #include "enclave/enclave.hpp"
 #include "linkage/fingerprint.hpp"
-#include "linkage/vptree.hpp"
 #include "nn/kernels.hpp"
 #include "nn/network.hpp"
 #include "nn/presets.hpp"
@@ -553,50 +552,6 @@ BENCHMARK(BM_TrainBatchThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime();
-
-void BM_VpTreeQuery(benchmark::State& state) {
-  Rng rng(2);
-  const std::size_t count = static_cast<std::size_t>(state.range(0));
-  std::vector<std::vector<float>> points(count, std::vector<float>(64));
-  for (auto& p : points) {
-    for (float& x : p) x = rng.Gaussian();
-  }
-  const linkage::VpTree tree(points);
-  std::vector<float> query(64);
-  for (float& x : query) x = rng.Gaussian();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Search(query, 9));
-  }
-}
-BENCHMARK(BM_VpTreeQuery)->Arg(1000)->Arg(10000);
-
-// Batched kNN, serial vs parallel, over the same VP-tree.
-void BM_VpTreeQueryBatchThreads(benchmark::State& state) {
-  const std::size_t count = static_cast<std::size_t>(state.range(0));
-  const unsigned threads = static_cast<unsigned>(state.range(1));
-  util::ScopedThreads guard(threads);
-  Rng rng(2);
-  std::vector<std::vector<float>> points(count, std::vector<float>(64));
-  for (auto& p : points) {
-    for (float& x : p) x = rng.Gaussian();
-  }
-  const linkage::VpTree tree(points);
-  std::vector<std::vector<float>> queries(256, std::vector<float>(64));
-  for (auto& q : queries) {
-    for (float& x : q) x = rng.Gaussian();
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.SearchBatch(queries, 9));
-  }
-  state.counters["threads"] = threads;
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(queries.size()));
-}
-BENCHMARK(BM_VpTreeQueryBatchThreads)
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4})
     ->UseRealTime();
 
 void BM_BruteForceQuery(benchmark::State& state) {

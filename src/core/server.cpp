@@ -466,11 +466,6 @@ linkage::LinkageDatabase TrainingServer::FingerprintAll(
     fingerprint_enclave_->Ecall([&] {
       (void)db.InsertBatch(std::move(records));
     });
-    // Fold every class's tail into its VP-tree on the pool before the
-    // database is handed to the query stage (indexes are derived data;
-    // queries answer identically either way, just without the first-hit
-    // build cost).
-    db.RebuildIndexes();
   }
   fingerprint_enclave_->epc().Free(model_region);
   return db;

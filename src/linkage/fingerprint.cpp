@@ -1,5 +1,7 @@
 #include "linkage/fingerprint.hpp"
 
+#include <algorithm>
+
 #include "util/mathx.hpp"
 #include "util/threadpool.hpp"
 
@@ -44,6 +46,28 @@ std::vector<Fingerprint> ExtractFingerprintsBatch(
 
 double FingerprintDistance(const Fingerprint& a, const Fingerprint& b) {
   return L2Distance(a, b);
+}
+
+void KeepNearest(std::vector<Neighbor>& candidates, std::size_t k) {
+  const std::size_t take = std::min(k, candidates.size());
+  std::partial_sort(candidates.begin(),
+                    candidates.begin() + static_cast<std::ptrdiff_t>(take),
+                    candidates.end(),
+                    [](const Neighbor& a, const Neighbor& b) {
+                      return a.distance < b.distance ||
+                             (a.distance == b.distance && a.index < b.index);
+                    });
+  candidates.resize(take);
+}
+
+std::vector<Neighbor> BruteForceKnn(const std::vector<Fingerprint>& points,
+                                    const Fingerprint& query, std::size_t k) {
+  std::vector<Neighbor> all(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    all[i] = Neighbor{i, FingerprintDistance(points[i], query)};
+  }
+  KeepNearest(all, k);
+  return all;
 }
 
 }  // namespace caltrain::linkage

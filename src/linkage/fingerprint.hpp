@@ -52,4 +52,21 @@ using Fingerprint = std::vector<float>;
 [[nodiscard]] double FingerprintDistance(const Fingerprint& a,
                                          const Fingerprint& b);
 
+struct Neighbor {
+  std::size_t index = 0;  ///< position in the searched point set
+  double distance = 0.0;
+};
+
+/// Keeps the k nearest `candidates`, closest first; equal distances
+/// tie-break on ascending index.  Every kNN answer in this module uses
+/// this one order, so exact searches agree element-wise even with
+/// duplicate points.
+void KeepNearest(std::vector<Neighbor>& candidates, std::size_t k);
+
+/// Exact k-NN of `query` over `points` by FingerprintDistance, in
+/// KeepNearest order.
+[[nodiscard]] std::vector<Neighbor> BruteForceKnn(
+    const std::vector<Fingerprint>& points, const Fingerprint& query,
+    std::size_t k);
+
 }  // namespace caltrain::linkage

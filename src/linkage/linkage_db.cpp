@@ -12,15 +12,17 @@ namespace caltrain::linkage {
 
 namespace {
 
-void ValidateRecord(const Fingerprint& fingerprint, int label) {
+/// `dim` is the database's fingerprint dimension (0 while empty).
+void ValidateRecord(const Fingerprint& fingerprint, int label,
+                    std::size_t dim) {
   CALTRAIN_REQUIRE(!fingerprint.empty(), "empty fingerprint");
+  // Distances between fingerprints of different lengths are undefined;
+  // reject them at the door instead of at the first query.
+  CALTRAIN_REQUIRE(dim == 0 || fingerprint.size() == dim,
+                   "inconsistent fingerprint dimensions");
   // The serialized form stores Y as uint32; reject out-of-range labels
   // at the door instead of corrupting them at Serialize time.
   CALTRAIN_REQUIRE(label >= 0, "negative class label");
-}
-
-bool MatchOrder(const QueryMatch& a, const QueryMatch& b) {
-  return a.distance < b.distance || (a.distance == b.distance && a.id < b.id);
 }
 
 }  // namespace
@@ -28,7 +30,7 @@ bool MatchOrder(const QueryMatch& a, const QueryMatch& b) {
 LinkageDatabase::LinkageDatabase(LinkageDatabase&& other) noexcept
     : segments_(std::move(other.segments_)),
       locator_(std::move(other.locator_)),
-      tail_limit_(other.tail_limit_) {}
+      dim_(other.dim_) {}
 
 LinkageDatabase& LinkageDatabase::operator=(LinkageDatabase&& other) noexcept {
   if (this == &other) return *this;
@@ -41,19 +43,20 @@ LinkageDatabase& LinkageDatabase::operator=(LinkageDatabase&& other) noexcept {
   util::MutexLock this_lock(directory_mu_);
   segments_ = std::move(other.segments_);
   locator_ = std::move(other.locator_);
-  tail_limit_ = other.tail_limit_;
+  dim_ = other.dim_;
   return *this;
 }
 
 std::uint64_t LinkageDatabase::Insert(Fingerprint fingerprint, int label,
                                       std::string source,
                                       const crypto::Sha256Digest& hash) {
-  ValidateRecord(fingerprint, label);
   Segment* segment = nullptr;
   std::uint64_t id = 0;
   std::size_t pos = 0;
   {
     util::MutexLock lock(directory_mu_);
+    ValidateRecord(fingerprint, label, dim_);
+    dim_ = fingerprint.size();
     id = locator_.size();
     segment = EnsureSegmentLocked(label);
     pos = segment->reserved++;
@@ -82,9 +85,6 @@ std::vector<std::uint64_t> LinkageDatabase::InsertBatch(
   const std::size_t n = records.size();
   std::vector<std::uint64_t> ids(n);
   if (n == 0) return ids;
-  for (const LinkageRecord& r : records) {
-    ValidateRecord(r.fingerprint, r.label);
-  }
 
   // Phase 1 (serial, under the directory lock): assign ids and segment
   // slots in input order.  This fixes every tuple's id and position
@@ -98,6 +98,13 @@ std::vector<std::uint64_t> LinkageDatabase::InsertBatch(
   std::vector<Group> groups;
   {
     util::MutexLock lock(directory_mu_);
+    // Validate the whole batch before reserving anything: a rejected
+    // batch inserts nothing.
+    const std::size_t dim = dim_ != 0 ? dim_ : records[0].fingerprint.size();
+    for (const LinkageRecord& r : records) {
+      ValidateRecord(r.fingerprint, r.label, dim);
+    }
+    dim_ = dim;
     const std::uint64_t base = locator_.size();
     std::unordered_map<int, std::size_t> group_of;
     locator_.reserve(locator_.size() + n);
@@ -179,9 +186,7 @@ const LinkageTuple& LinkageDatabase::tuple(std::uint64_t id) const {
 LinkageDatabase::Segment* LinkageDatabase::EnsureSegmentLocked(int label) {
   auto it = segments_.find(label);
   if (it == segments_.end()) {
-    auto segment = std::make_unique<Segment>();
-    segment->label = label;
-    it = segments_.emplace(label, std::move(segment)).first;
+    it = segments_.emplace(label, std::make_unique<Segment>()).first;
   }
   return it->second.get();
 }
@@ -192,70 +197,27 @@ LinkageDatabase::Segment* LinkageDatabase::FindSegment(int label) const {
   return it == segments_.end() ? nullptr : it->second.get();
 }
 
-void LinkageDatabase::RebuildSegmentLocked(Segment& seg) {
-  if (seg.index != nullptr && seg.indexed == seg.tuples.size()) return;
-  std::vector<std::vector<float>> points;
-  std::vector<std::uint64_t> ids;
-  std::vector<std::string> sources;
-  points.reserve(seg.tuples.size());
-  ids.reserve(seg.tuples.size());
-  sources.reserve(seg.tuples.size());
-  for (const LinkageTuple& t : seg.tuples) {
-    points.push_back(t.fingerprint);
-    ids.push_back(t.id);
-    sources.push_back(t.source);
-  }
-  auto index = std::make_shared<SegmentIndex>(std::move(points));
-  index->ids = std::move(ids);
-  index->sources = std::move(sources);
-  seg.indexed = seg.tuples.size();
-  seg.index = std::move(index);
-  ++seg.generation;
-}
-
-std::vector<QueryMatch> LinkageDatabase::QuerySegment(
-    Segment& seg, const Fingerprint& query, std::size_t k,
-    bool allow_rebuild) const {
-  std::vector<QueryMatch> matches;
-  std::shared_ptr<const SegmentIndex> index;
-  {
-    util::MutexLock lock(seg.mu);
-    if (allow_rebuild &&
-        (seg.index == nullptr ||
-         seg.tuples.size() - seg.indexed > tail_limit_)) {
-      RebuildSegmentLocked(seg);
-    }
-    index = seg.index;
-    // Brute-force the unindexed tail under the lock (it is bounded by
-    // tail_limit_); the tree snapshot is searched lock-free below.
-    for (std::size_t pos = seg.indexed; pos < seg.tuples.size(); ++pos) {
-      const LinkageTuple& t = seg.tuples[pos];
-      matches.push_back(QueryMatch{
-          t.id, FingerprintDistance(t.fingerprint, query), t.label, t.source});
-    }
-  }
-  if (index != nullptr) {
-    const std::vector<Neighbor> neighbors = index->tree.Search(query, k);
-    for (const Neighbor& n : neighbors) {
-      matches.push_back(QueryMatch{index->ids[n.index], n.distance, seg.label,
-                                   index->sources[n.index]});
-    }
-  }
-  // The tree already returns its k best in (distance, index) ==
-  // (distance, id) order; merging with the tail and re-sorting yields
-  // the exact global top-k with (distance, id) tie-breaking — the same
-  // order as QueryNearestBruteForce.
-  std::sort(matches.begin(), matches.end(), MatchOrder);
-  if (matches.size() > k) matches.resize(k);
-  return matches;
-}
-
 std::vector<QueryMatch> LinkageDatabase::QueryNearest(const Fingerprint& query,
                                                       int label,
-                                                      std::size_t k) {
+                                                      std::size_t k) const {
   Segment* seg = FindSegment(label);
   if (seg == nullptr) return {};
-  return QuerySegment(*seg, query, k, /*allow_rebuild=*/true);
+  util::MutexLock lock(seg->mu);
+  std::vector<Neighbor> nearest(seg->tuples.size());
+  for (std::size_t pos = 0; pos < nearest.size(); ++pos) {
+    nearest[pos] =
+        Neighbor{pos, FingerprintDistance(seg->tuples[pos].fingerprint, query)};
+  }
+  // Segment positions ascend with ids, so KeepNearest's (distance,
+  // position) order is the database's (distance, id) order.
+  KeepNearest(nearest, k);
+  std::vector<QueryMatch> matches;
+  matches.reserve(nearest.size());
+  for (const Neighbor& n : nearest) {
+    const LinkageTuple& t = seg->tuples[n.index];
+    matches.push_back(QueryMatch{t.id, n.distance, t.label, t.source});
+  }
+  return matches;
 }
 
 std::vector<std::vector<QueryMatch>> LinkageDatabase::QueryNearestBatch(
@@ -263,90 +225,11 @@ std::vector<std::vector<QueryMatch>> LinkageDatabase::QueryNearestBatch(
     std::size_t k) {
   CALTRAIN_REQUIRE(queries.size() == labels.size(),
                    "batch query/label size mismatch");
-  // Fold the queried classes' tails in first (parallel across
-  // segments), then answer the queries in parallel over the immutable
-  // index snapshots.  Only the distinct labels of this batch are
-  // touched — results are identical either way (the tail scan keeps
-  // unfolded segments exact), this just avoids building indexes no
-  // query needs.
-  std::unordered_map<int, Segment*> needed;  // distinct queried classes
-  {
-    util::MutexLock lock(directory_mu_);
-    for (const int label : labels) {
-      const auto it = segments_.find(label);
-      needed.emplace(label, it == segments_.end() ? nullptr
-                                                  : it->second.get());
-    }
-  }
-  std::vector<Segment*> to_fold;
-  for (const auto& [label, seg] : needed) {
-    if (seg != nullptr) to_fold.push_back(seg);
-  }
-  util::ParallelFor(0, to_fold.size(), [&](std::size_t i) {
-    util::MutexLock lock(to_fold[i]->mu);
-    RebuildSegmentLocked(*to_fold[i]);
-  });
-  // The query loop reads segments through the prefold's snapshot — no
-  // per-query directory lock.
   std::vector<std::vector<QueryMatch>> results(queries.size());
   util::ParallelFor(0, queries.size(), [&](std::size_t i) {
-    Segment* seg = needed.at(labels[i]);
-    if (seg != nullptr) {
-      results[i] = QuerySegment(*seg, queries[i], k, /*allow_rebuild=*/false);
-    }
+    results[i] = QueryNearest(queries[i], labels[i], k);
   });
   return results;
-}
-
-std::vector<QueryMatch> LinkageDatabase::QueryNearestBruteForce(
-    const Fingerprint& query, int label, std::size_t k) const {
-  Segment* seg = FindSegment(label);
-  if (seg == nullptr) return {};
-  std::vector<QueryMatch> all;
-  {
-    util::MutexLock lock(seg->mu);
-    all.reserve(seg->tuples.size());
-    for (const LinkageTuple& t : seg->tuples) {
-      all.push_back(QueryMatch{t.id, FingerprintDistance(t.fingerprint, query),
-                               t.label, t.source});
-    }
-  }
-  std::sort(all.begin(), all.end(), MatchOrder);
-  if (all.size() > k) all.resize(k);
-  return all;
-}
-
-void LinkageDatabase::RebuildIndexes() {
-  std::vector<Segment*> segments;
-  {
-    util::MutexLock lock(directory_mu_);
-    segments.reserve(segments_.size());
-    for (const auto& [label, seg] : segments_) segments.push_back(seg.get());
-  }
-  // Stable order for the fan-out (segments are independent, so this
-  // only affects scheduling, not results).
-  std::sort(segments.begin(), segments.end(),
-            [](const Segment* a, const Segment* b) {
-              return a->label < b->label;
-            });
-  util::ParallelFor(0, segments.size(), [&](std::size_t i) {
-    util::MutexLock lock(segments[i]->mu);
-    RebuildSegmentLocked(*segments[i]);
-  });
-}
-
-std::uint64_t LinkageDatabase::IndexGeneration(int label) const {
-  Segment* seg = FindSegment(label);
-  if (seg == nullptr) return 0;
-  util::MutexLock lock(seg->mu);
-  return seg->generation;
-}
-
-std::size_t LinkageDatabase::UnindexedTailSize(int label) const {
-  Segment* seg = FindSegment(label);
-  if (seg == nullptr) return 0;
-  util::MutexLock lock(seg->mu);
-  return seg->tuples.size() - seg->indexed;
 }
 
 bool LinkageDatabase::VerifySubmission(std::uint64_t id,
@@ -399,8 +282,9 @@ LinkageDatabase LinkageDatabase::Deserialize(BytesView blob) {
   ByteReader reader(blob);
   LinkageDatabase db;
   const std::uint64_t count = reader.ReadU64();
+  // No reserve(count): the count is file data; growth stays bounded by
+  // the bytes actually present.
   std::vector<LinkageRecord> records;
-  records.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     LinkageRecord record;
     record.fingerprint = reader.ReadF32Vector();

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linkage/vptree.hpp"
+#include "linkage/fingerprint.hpp"
 #include "util/error.hpp"
 
 namespace caltrain::linkage {

@@ -53,7 +53,8 @@ NetworkSpec NetworkSpec::Deserialize(ByteReader& reader) {
   spec.input.h = static_cast<int>(reader.ReadU32());
   spec.input.c = static_cast<int>(reader.ReadU32());
   const std::uint32_t count = reader.ReadU32();
-  spec.layers.reserve(count);
+  // No reserve(count): the count is snapshot/wire data; growth stays
+  // bounded by the bytes actually present.
   for (std::uint32_t i = 0; i < count; ++i) {
     LayerSpec l;
     l.kind = static_cast<LayerKind>(reader.ReadU8());

@@ -37,8 +37,8 @@ void DecodeFrame(BytesView payload, const ReplayVisitor& visitor) {
       CommitBatchEvent event;
       event.seq = reader.ReadU64();
       const std::uint32_t count = reader.ReadU32();
-      event.records.reserve(count);
-      event.accepted.reserve(count);
+      // No reserve(count): the count is journal data; growth stays
+      // bounded by the bytes actually present.
       for (std::uint32_t i = 0; i < count; ++i) {
         const Bytes wire = reader.ReadBytes();
         event.records.push_back(data::EncryptedRecord::Deserialize(wire));

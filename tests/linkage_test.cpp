@@ -1,21 +1,26 @@
-// Linkage substrate tests: fingerprints, VP-tree vs brute force,
-// the Omega database (queries, class restriction, hash verification,
-// persistence), LLE, and the accountability metrics.
+// Linkage substrate tests: fingerprints, the Omega database (exact
+// class scan vs a full-sort oracle, class restriction, concurrency,
+// hash verification, persistence and blob validation), LLE, and the
+// accountability metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <thread>
+#include <utility>
 
 #include "data/packaging.hpp"
 #include "linkage/fingerprint.hpp"
 #include "linkage/linkage_db.hpp"
 #include "linkage/lle.hpp"
 #include "linkage/metrics.hpp"
-#include "linkage/vptree.hpp"
+#include "linkage_oracle.hpp"
 #include "nn/presets.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 #include "util/rng.hpp"
+#include "util/serial.hpp"
 #include "util/threadpool.hpp"
 
 namespace caltrain::linkage {
@@ -41,107 +46,6 @@ TEST(FingerprintTest, IsNormalizedAndDeterministic) {
   EXPECT_EQ(a, b);
   EXPECT_NEAR(L2Norm(a), 1.0, 1e-5);
   EXPECT_EQ(a.size(), 10U);  // Table-1 penultimate = avg pool over classes
-}
-
-TEST(VpTreeTest, SearchBatchMatchesSerialSearchElementWise) {
-  const auto points = RandomPoints(300, 8, 31);
-  const VpTree tree(points);
-  const auto queries = RandomPoints(64, 8, 32);
-
-  std::vector<std::vector<Neighbor>> serial(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    serial[i] = tree.Search(queries[i], 9);
-  }
-  for (unsigned threads : {1U, 4U}) {
-    util::ScopedThreads guard(threads);
-    const auto batch = tree.SearchBatch(queries, 9);
-    ASSERT_EQ(batch.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(batch[i].size(), serial[i].size()) << "query " << i;
-      for (std::size_t r = 0; r < serial[i].size(); ++r) {
-        EXPECT_EQ(batch[i][r].index, serial[i][r].index)
-            << "query " << i << " rank " << r << " threads " << threads;
-        EXPECT_EQ(batch[i][r].distance, serial[i][r].distance)
-            << "query " << i << " rank " << r << " threads " << threads;
-      }
-    }
-  }
-}
-
-TEST(VpTreeTest, MatchesBruteForce) {
-  const auto points = RandomPoints(200, 8, 21);
-  const VpTree tree(points);
-  Rng rng(22);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<float> query(8);
-    for (float& x : query) x = rng.Gaussian();
-    const auto exact = BruteForceKnn(points, query, 7);
-    const auto fast = tree.Search(query, 7);
-    ASSERT_EQ(fast.size(), exact.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ(fast[i].index, exact[i].index)
-          << "rank " << i << " trial " << trial;
-      EXPECT_NEAR(fast[i].distance, exact[i].distance, 1e-9)
-          << "rank " << i << " trial " << trial;
-    }
-  }
-}
-
-TEST(VpTreeTest, TieHeavyDuplicatesMatchBruteForceElementWise) {
-  // Five exact copies of each of eight centers: every query hits
-  // 4-way (or, querying a center, zero-distance) ties, so the result
-  // set is only well-defined with the (distance, index) tie-break —
-  // tree and brute force must then agree element-wise.
-  const auto centers = RandomPoints(8, 4, 71);
-  std::vector<std::vector<float>> points;
-  for (int copy = 0; copy < 5; ++copy) {
-    for (const auto& c : centers) points.push_back(c);
-  }
-  const VpTree tree(points);
-  Rng rng(72);
-  for (int trial = 0; trial < 24; ++trial) {
-    std::vector<float> query;
-    if (trial < 8) {
-      query = centers[static_cast<std::size_t>(trial)];  // exact dup probe
-    } else {
-      query.resize(4);
-      for (float& x : query) x = rng.Gaussian();
-    }
-    for (const std::size_t k : {1U, 3U, 10U, 40U}) {
-      const auto exact = BruteForceKnn(points, query, k);
-      const auto fast = tree.Search(query, k);
-      ASSERT_EQ(fast.size(), exact.size()) << "k " << k << " trial " << trial;
-      for (std::size_t i = 0; i < exact.size(); ++i) {
-        EXPECT_EQ(fast[i].index, exact[i].index)
-            << "rank " << i << " k " << k << " trial " << trial;
-        EXPECT_EQ(fast[i].distance, exact[i].distance)
-            << "rank " << i << " k " << k << " trial " << trial;
-      }
-    }
-  }
-}
-
-TEST(VpTreeTest, KLargerThanSetReturnsAll) {
-  const auto points = RandomPoints(5, 3, 23);
-  const VpTree tree(points);
-  const auto result = tree.Search(points[0], 50);
-  EXPECT_EQ(result.size(), 5U);
-  EXPECT_EQ(result[0].index, 0U);  // itself at distance 0
-  EXPECT_NEAR(result[0].distance, 0.0, 1e-12);
-}
-
-TEST(VpTreeTest, EmptyTree) {
-  const VpTree tree({});
-  EXPECT_TRUE(tree.Search({1.0F}, 3).empty());
-}
-
-TEST(VpTreeTest, ResultsSortedAscending) {
-  const auto points = RandomPoints(64, 4, 24);
-  const VpTree tree(points);
-  const auto result = tree.Search(points[10], 10);
-  for (std::size_t i = 1; i < result.size(); ++i) {
-    EXPECT_LE(result[i - 1].distance, result[i].distance);
-  }
 }
 
 class LinkageDbTest : public ::testing::Test {
@@ -202,19 +106,28 @@ TEST_F(LinkageDbTest, PoisonClusterSurfacesForPoisonProbe) {
   EXPECT_GE(mallory, 8U);  // the poisoned subcluster dominates
 }
 
-TEST_F(LinkageDbTest, VpTreeQueryMatchesBruteForce) {
+TEST_F(LinkageDbTest, QueryMatchesFullSortOracle) {
   Rng rng(32);
   for (int trial = 0; trial < 10; ++trial) {
     Fingerprint probe(4);
     for (float& x : probe) x = rng.Gaussian();
     L2NormalizeInPlace(probe);
-    const auto fast = db_.QueryNearest(probe, 0, 6);
-    const auto exact = db_.QueryNearestBruteForce(probe, 0, 6);
-    ASSERT_EQ(fast.size(), exact.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_NEAR(fast[i].distance, exact[i].distance, 1e-9);
+    for (const int label : {0, 1}) {
+      EXPECT_TRUE(SameMatches(db_.QueryNearest(probe, label, 6),
+                              OracleNearest(db_, probe, label, 6)))
+          << "trial " << trial << " label " << label;
     }
   }
+}
+
+TEST_F(LinkageDbTest, KLargerThanClassReturnsWholeClass) {
+  const LinkageTuple& stored = db_.tuple(25);  // a class-1 tuple
+  const auto matches = db_.QueryNearest(stored.fingerprint, 1, 50);
+  ASSERT_EQ(matches.size(), 20U);
+  EXPECT_EQ(matches[0].id, 25U);  // itself, at distance 0
+  EXPECT_EQ(matches[0].distance, 0.0);
+  EXPECT_TRUE(
+      SameMatches(matches, OracleNearest(db_, stored.fingerprint, 1, 50)));
 }
 
 TEST_F(LinkageDbTest, BatchQueryMatchesSerialQueriesElementWise) {
@@ -274,121 +187,116 @@ TEST_F(LinkageDbTest, SerializationRoundTrip) {
   LinkageDatabase restored = LinkageDatabase::Deserialize(blob);
   ASSERT_EQ(restored.size(), db_.size());
   Fingerprint probe = {1.0F, 0.0F, 0.0F, 0.0F};
-  const auto a = db_.QueryNearestBruteForce(probe, 0, 5);
-  const auto b = restored.QueryNearestBruteForce(probe, 0, 5);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].source, b[i].source);
-  }
+  EXPECT_TRUE(SameMatches(restored.QueryNearest(probe, 0, 5),
+                          OracleNearest(db_, probe, 0, 5)));
   // The blob format is segment-agnostic: a re-serialized round trip is
-  // byte-identical, even after index builds on either side.
+  // byte-identical, and queries on either side change nothing.
   (void)restored.QueryNearest(probe, 0, 3);
-  db_.RebuildIndexes();
+  (void)db_.QueryNearest(probe, 1, 3);
   EXPECT_EQ(restored.Serialize(), blob);
   EXPECT_EQ(db_.Serialize(), blob);
 }
 
-TEST_F(LinkageDbTest, InsertAfterQueryAnsweredFromTail) {
+TEST_F(LinkageDbTest, InsertAfterQueryIsVisibleToNextQuery) {
   Fingerprint probe = {1.0F, 0.0F, 0.0F, 0.0F};
-  (void)db_.QueryNearest(probe, 0, 3);  // builds the class-0 index
-  const std::uint64_t gen = db_.IndexGeneration(0);
-  EXPECT_EQ(gen, 1U);
+  (void)db_.QueryNearest(probe, 0, 3);
   const auto id = db_.Insert({1.0F, 0.0F, 0.0F, 0.0F}, 0, "late",
                              FakeHash(0xFF));
-  EXPECT_EQ(db_.UnindexedTailSize(0), 1U);
-  const auto matches = db_.QueryNearest(probe, 0, 1);
-  ASSERT_EQ(matches.size(), 1U);
+  const auto matches = db_.QueryNearest(probe, 0, 4);
+  ASSERT_EQ(matches.size(), 4U);
   EXPECT_EQ(matches[0].id, id);  // exact match must now be nearest
-  // The small tail was answered by the brute-force scan — no rebuild.
-  EXPECT_EQ(db_.IndexGeneration(0), gen);
-  EXPECT_EQ(db_.UnindexedTailSize(0), 1U);
-  // Folding the tail in changes nothing observable.
-  db_.RebuildIndexes();
-  EXPECT_EQ(db_.IndexGeneration(0), gen + 1);
-  EXPECT_EQ(db_.UnindexedTailSize(0), 0U);
-  const auto after = db_.QueryNearest(probe, 0, 1);
-  ASSERT_EQ(after.size(), 1U);
-  EXPECT_EQ(after[0].id, id);
-  EXPECT_EQ(after[0].distance, matches[0].distance);
+  EXPECT_EQ(matches[0].distance, 0.0);
+  EXPECT_TRUE(SameMatches(matches, OracleNearest(db_, probe, 0, 4)));
 }
 
-TEST_F(LinkageDbTest, InsertLeavesOtherClassIndexesIntact) {
-  Fingerprint probe0 = {1.0F, 0.0F, 0.0F, 0.0F};
-  Fingerprint probe1 = {0.0F, 1.0F, 0.0F, 0.0F};
-  (void)db_.QueryNearest(probe0, 0, 3);
-  (void)db_.QueryNearest(probe1, 1, 3);
-  ASSERT_EQ(db_.IndexGeneration(0), 1U);
-  ASSERT_EQ(db_.IndexGeneration(1), 1U);
-
+TEST_F(LinkageDbTest, InsertLeavesOtherClassAnswersIntact) {
   Rng rng(34);
-  for (int i = 0; i < 300; ++i) {  // well past the rebuild threshold
-    db_.Insert(Jitter({0.0F, 1.0F, 0.0F, 0.0F}, rng), 1, "late-B",
-               FakeHash(static_cast<std::uint8_t>(i)));
-  }
-  (void)db_.QueryNearest(probe1, 1, 3);        // folds class 1's tail
-  EXPECT_EQ(db_.IndexGeneration(1), 2U);
-  EXPECT_EQ(db_.IndexGeneration(0), 1U)        // class 0 untouched
-      << "insert into class 1 must not invalidate class 0's index";
-  EXPECT_EQ(db_.UnindexedTailSize(0), 0U);
-
-  // And class-0 queries still agree with brute force exactly.
+  std::vector<Fingerprint> probes;
+  std::vector<std::vector<QueryMatch>> before;
   for (int trial = 0; trial < 5; ++trial) {
     Fingerprint probe(4);
     for (float& x : probe) x = rng.Gaussian();
     L2NormalizeInPlace(probe);
-    const auto fast = db_.QueryNearest(probe, 0, 6);
-    const auto exact = db_.QueryNearestBruteForce(probe, 0, 6);
-    ASSERT_EQ(fast.size(), exact.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ(fast[i].id, exact[i].id);
-      EXPECT_EQ(fast[i].distance, exact[i].distance);
-    }
+    before.push_back(db_.QueryNearest(probe, 0, 6));
+    probes.push_back(std::move(probe));
   }
-}
-
-TEST_F(LinkageDbTest, AutoRebuildFoldsLargeTail) {
-  db_.set_tail_limit(4);
-  Fingerprint probe = {1.0F, 0.0F, 0.0F, 0.0F};
-  (void)db_.QueryNearest(probe, 0, 3);
-  const std::uint64_t gen = db_.IndexGeneration(0);
-  Rng rng(35);
-  for (int i = 0; i < 6; ++i) {
-    db_.Insert(Jitter({1.0F, 0.0F, 0.0F, 0.0F}, rng), 0, "late",
+  for (int i = 0; i < 300; ++i) {
+    db_.Insert(Jitter({0.0F, 1.0F, 0.0F, 0.0F}, rng), 1, "late-B",
                FakeHash(static_cast<std::uint8_t>(i)));
   }
-  EXPECT_EQ(db_.UnindexedTailSize(0), 6U);  // tail (6) > limit (4)
-  const auto fast = db_.QueryNearest(probe, 0, 8);
-  EXPECT_EQ(db_.IndexGeneration(0), gen + 1);
-  EXPECT_EQ(db_.UnindexedTailSize(0), 0U);
-  const auto exact = db_.QueryNearestBruteForce(probe, 0, 8);
-  ASSERT_EQ(fast.size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(fast[i].id, exact[i].id);
-    EXPECT_EQ(fast[i].distance, exact[i].distance);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_TRUE(SameMatches(db_.QueryNearest(probes[i], 0, 6), before[i]))
+        << "insert into class 1 changed a class-0 answer (probe " << i
+        << ")";
+    EXPECT_TRUE(SameMatches(db_.QueryNearest(probes[i], 1, 6),
+                            OracleNearest(db_, probes[i], 1, 6)));
   }
 }
 
 TEST_F(LinkageDbTest, QueryUnknownClassReturnsEmpty) {
   Fingerprint probe = {1.0F, 0.0F, 0.0F, 0.0F};
   EXPECT_TRUE(db_.QueryNearest(probe, 9, 5).empty());
-  EXPECT_TRUE(db_.QueryNearestBruteForce(probe, 9, 5).empty());
   const auto batch = db_.QueryNearestBatch({probe, probe}, {9, 0}, 5);
   ASSERT_EQ(batch.size(), 2U);
   EXPECT_TRUE(batch[0].empty());
   EXPECT_EQ(batch[1].size(), 5U);
-  EXPECT_EQ(db_.IndexGeneration(9), 0U);
-  EXPECT_EQ(db_.UnindexedTailSize(9), 0U);
+}
+
+TEST(LinkageDbEdgeTest, EmptyDatabaseAndZeroKReturnEmpty) {
+  LinkageDatabase db;
+  const Fingerprint probe = {1.0F, 0.0F};
+  EXPECT_TRUE(db.QueryNearest(probe, 0, 3).empty());
+  const auto batch = db.QueryNearestBatch({probe, probe}, {0, 1}, 3);
+  ASSERT_EQ(batch.size(), 2U);
+  EXPECT_TRUE(batch[0].empty());
+  EXPECT_TRUE(batch[1].empty());
+  EXPECT_TRUE(db.QueryNearestBatch({}, {}, 3).empty());
+
+  (void)db.Insert({1.0F, 0.0F}, 0, "a", crypto::Sha256Digest{});
+  EXPECT_TRUE(db.QueryNearest(probe, 0, 0).empty());
+  EXPECT_EQ(db.QueryNearest(probe, 0, 1).size(), 1U);
+}
+
+TEST(LinkageDbEdgeTest, TieHeavyDuplicatesMatchOracleElementWise) {
+  // Five exact copies of each of eight centers in one class: every
+  // query hits 5-way (or, querying a center, zero-distance) ties, so
+  // the answer is only well-defined with the (distance, id) tie-break.
+  LinkageDatabase db;
+  Rng rng(71);
+  std::vector<Fingerprint> centers(8, Fingerprint(4));
+  for (auto& c : centers) {
+    for (float& x : c) x = rng.Gaussian();
+  }
+  for (int copy = 0; copy < 5; ++copy) {
+    for (const auto& c : centers) {
+      (void)db.Insert(c, 0, "copy" + std::to_string(copy),
+                      crypto::Sha256Digest{});
+    }
+  }
+  for (int trial = 0; trial < 24; ++trial) {
+    Fingerprint query;
+    if (trial < 8) {
+      query = centers[static_cast<std::size_t>(trial)];  // exact dup probe
+    } else {
+      query.resize(4);
+      for (float& x : query) x = rng.Gaussian();
+    }
+    for (const std::size_t k : {1U, 3U, 10U, 40U}) {
+      EXPECT_TRUE(SameMatches(db.QueryNearest(query, 0, k),
+                              OracleNearest(db, query, 0, k)))
+          << "k " << k << " trial " << trial;
+    }
+  }
 }
 
 TEST_F(LinkageDbTest, DuplicateFingerprintTiesAgreeWithBruteForce) {
-  // Exact duplicate fingerprints within one class: the VP-tree path
-  // must still return the same ids as brute force (the (distance, id)
-  // tie-break), at every k straddling the duplicate group.
+  // Exact duplicate fingerprints within one class: the scan must
+  // return the same ids as the oracle (the (distance, id) tie-break),
+  // at every k straddling the duplicate group.
   Fingerprint dup = {0.6F, 0.8F, 0.0F, 0.0F};
   for (int i = 0; i < 6; ++i) {
     db_.Insert(dup, 0, "dup", FakeHash(static_cast<std::uint8_t>(240 + i)));
   }
-  db_.RebuildIndexes();
   Rng rng(36);
   for (int trial = 0; trial < 8; ++trial) {
     Fingerprint probe = dup;
@@ -397,14 +305,9 @@ TEST_F(LinkageDbTest, DuplicateFingerprintTiesAgreeWithBruteForce) {
       L2NormalizeInPlace(probe);
     }
     for (const std::size_t k : {1U, 3U, 6U, 9U, 40U}) {
-      const auto fast = db_.QueryNearest(probe, 0, k);
-      const auto exact = db_.QueryNearestBruteForce(probe, 0, k);
-      ASSERT_EQ(fast.size(), exact.size());
-      for (std::size_t i = 0; i < exact.size(); ++i) {
-        EXPECT_EQ(fast[i].id, exact[i].id)
-            << "rank " << i << " k " << k << " trial " << trial;
-        EXPECT_EQ(fast[i].distance, exact[i].distance);
-      }
+      EXPECT_TRUE(SameMatches(db_.QueryNearest(probe, 0, k),
+                              OracleNearest(db_, probe, 0, k)))
+          << "k " << k << " trial " << trial;
     }
   }
 }
@@ -439,6 +342,9 @@ TEST(LinkageDbBatchTest, InsertBatchMatchesSerialInsertsAtEveryThreadCount) {
   for (const LinkageRecord& p : probes) {
     reference_answers.push_back(reference.QueryNearest(p.fingerprint,
                                                        p.label, 7));
+    EXPECT_TRUE(SameMatches(reference_answers.back(),
+                            OracleNearest(reference, p.fingerprint, p.label,
+                                          7)));
   }
 
   for (const unsigned threads : {1U, 2U, 3U, 8U}) {
@@ -475,9 +381,8 @@ TEST(LinkageDbBatchTest, InsertBatchMatchesSerialInsertsAtEveryThreadCount) {
 
 TEST(LinkageDbBatchTest, InterleavedInsertQueryMatchesSerialReference) {
   // Rounds of InsertBatch + QueryNearestBatch (the sharded parallel
-  // path, indexes folding incrementally between rounds) must be
-  // element-wise identical to a serial Insert/QueryNearest sequence,
-  // at every thread count.
+  // path) must be element-wise identical to a serial Insert/QueryNearest
+  // sequence — and to the oracle — at every thread count.
   constexpr int kRounds = 4;
   std::vector<std::vector<LinkageRecord>> chunks;
   std::vector<std::vector<LinkageRecord>> probes;
@@ -497,6 +402,9 @@ TEST(LinkageDbBatchTest, InterleavedInsertQueryMatchesSerialReference) {
     std::vector<std::vector<QueryMatch>> answers;
     for (const LinkageRecord& p : probes[static_cast<std::size_t>(round)]) {
       answers.push_back(reference.QueryNearest(p.fingerprint, p.label, 5));
+      EXPECT_TRUE(SameMatches(
+          answers.back(), OracleNearest(reference, p.fingerprint, p.label, 5)))
+          << "round " << round;
     }
     reference_rounds.push_back(std::move(answers));
   }
@@ -505,7 +413,6 @@ TEST(LinkageDbBatchTest, InterleavedInsertQueryMatchesSerialReference) {
   for (const unsigned threads : {1U, 2U, 3U, 8U}) {
     util::ScopedThreads guard(threads);
     LinkageDatabase db;
-    db.set_tail_limit(16);  // force tail folds between rounds
     for (int round = 0; round < kRounds; ++round) {
       (void)db.InsertBatch(chunks[static_cast<std::size_t>(round)]);
       std::vector<Fingerprint> queries;
@@ -537,11 +444,10 @@ TEST(LinkageDbBatchTest, ConcurrentInsertAndQueryOnDisjointClasses) {
   // An external writer thread batch-inserting into class 1 while the
   // main thread batch-queries class 0: class-0 answers must stay
   // identical to the pre-insert reference (segment isolation), and the
-  // class-1 segment must end up complete and brute-force-consistent.
+  // class-1 segment must end up complete and oracle-consistent.
   LinkageDatabase db;
   const auto base = RandomRecords(120, 1, 6, 101);  // all class 0
   (void)db.InsertBatch(base);
-  db.RebuildIndexes();
 
   const auto probes = RandomRecords(32, 1, 6, 102);
   std::vector<Fingerprint> queries;
@@ -581,12 +487,54 @@ TEST(LinkageDbBatchTest, ConcurrentInsertAndQueryOnDisjointClasses) {
   Rng rng(104);
   Fingerprint probe(6);
   for (float& x : probe) x = rng.Gaussian();
-  const auto fast = db.QueryNearest(probe, 1, 9);
-  const auto exact = db.QueryNearestBruteForce(probe, 1, 9);
-  ASSERT_EQ(fast.size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(fast[i].id, exact[i].id);
-    EXPECT_EQ(fast[i].distance, exact[i].distance);
+  EXPECT_TRUE(SameMatches(db.QueryNearest(probe, 1, 9),
+                          OracleNearest(db, probe, 1, 9)));
+}
+
+TEST(LinkageDbBatchTest, ConcurrentInsertAndQueryOnSameClass) {
+  // A writer batch-inserting into class 0 while the main thread
+  // queries class 0 (the scan holds the segment lock the appends
+  // take).  Every answer must be the oracle over some id-ordered
+  // prefix of the class.  An answer of k matches that is the top k of
+  // some prefix is also the top k of the shortest prefix containing
+  // it (ids <= its largest id), so one oracle call per answer checks
+  // it once the writer is done.
+  constexpr std::size_t kK = 7;
+  LinkageDatabase db;
+  (void)db.InsertBatch(RandomRecords(60, 1, 6, 121));  // all class 0
+  const auto writer_records = RandomRecords(400, 1, 6, 122);
+  const auto probes = RandomRecords(16, 1, 6, 123);
+  std::vector<Fingerprint> queries;
+  for (const LinkageRecord& p : probes) queries.push_back(p.fingerprint);
+  const std::vector<int> labels(queries.size(), 0);
+
+  std::thread writer([&] {
+    for (std::size_t first = 0; first < writer_records.size(); first += 40) {
+      std::vector<LinkageRecord> chunk(
+          writer_records.begin() + static_cast<std::ptrdiff_t>(first),
+          writer_records.begin() + static_cast<std::ptrdiff_t>(first + 40));
+      (void)db.InsertBatch(std::move(chunk));
+    }
+  });
+  std::vector<std::pair<std::size_t, std::vector<QueryMatch>>> seen;
+  for (int round = 0; round < 16; ++round) {
+    const auto batch = db.QueryNearestBatch(queries, labels, kK);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      seen.emplace_back(i, batch[i]);
+    }
+    const std::size_t i = static_cast<std::size_t>(round) % queries.size();
+    seen.emplace_back(i, db.QueryNearest(queries[i], 0, kK));
+  }
+  writer.join();
+
+  ASSERT_EQ(db.size(), 60U + writer_records.size());
+  for (const auto& [i, answer] : seen) {
+    ASSERT_EQ(answer.size(), kK);
+    std::uint64_t prefix = 0;
+    for (const QueryMatch& m : answer) prefix = std::max(prefix, m.id + 1);
+    EXPECT_TRUE(
+        SameMatches(answer, OracleNearest(db, queries[i], 0, kK, prefix)))
+        << "probe " << i << " prefix " << prefix;
   }
 }
 
@@ -601,6 +549,125 @@ TEST(LinkageDbValidationTest, NegativeLabelRejected) {
   records[1].label = -7;
   EXPECT_THROW((void)db.InsertBatch(std::move(records)), Error);
   EXPECT_EQ(db.size(), 0U) << "a rejected batch must insert nothing";
+}
+
+TEST(LinkageDbValidationTest, MixedDimensionRejected) {
+  LinkageDatabase db;
+  crypto::Sha256Digest h{};
+  (void)db.Insert({1.0F, 0.0F}, 0, "x", h);
+  EXPECT_THROW((void)db.Insert({1.0F, 0.0F, 0.0F}, 0, "x", h), Error);
+  EXPECT_THROW((void)db.Insert({1.0F}, 1, "x", h), Error);
+  std::vector<LinkageRecord> records(2);
+  records[0].fingerprint = {0.0F, 1.0F};
+  records[1].fingerprint = {0.0F, 1.0F, 0.0F};
+  EXPECT_THROW((void)db.InsertBatch(std::move(records)), Error);
+  EXPECT_EQ(db.size(), 1U) << "a rejected batch must insert nothing";
+
+  // The first record of a batch fixes an empty database's dimension.
+  LinkageDatabase fresh;
+  std::vector<LinkageRecord> mixed(2);
+  mixed[0].fingerprint = {1.0F, 0.0F, 0.0F};
+  mixed[1].fingerprint = {1.0F, 0.0F};
+  EXPECT_THROW((void)fresh.InsertBatch(std::move(mixed)), Error);
+  EXPECT_EQ(fresh.size(), 0U);
+  (void)fresh.Insert({1.0F, 0.0F}, 0, "x", h);  // still unfixed
+  EXPECT_EQ(fresh.size(), 1U);
+}
+
+// Appends one tuple in the blob encoding of LinkageDatabase::Serialize.
+void WriteTuple(ByteWriter& writer, const Fingerprint& fingerprint,
+                std::uint32_t label) {
+  writer.WriteF32Vector(fingerprint);
+  writer.WriteU32(label);
+  writer.WriteString("src");
+  const crypto::Sha256Digest hash{};
+  writer.WriteBytes(BytesView(hash.data(), hash.size()));
+}
+
+TEST(LinkageDbSerializeTest, MixedDimensionBlobRejected) {
+  ByteWriter writer;
+  writer.WriteU64(2);
+  WriteTuple(writer, {1.0F, 0.0F}, 0);
+  WriteTuple(writer, {1.0F, 0.0F, 0.0F}, 1);
+  try {
+    (void)LinkageDatabase::Deserialize(writer.data());
+    FAIL() << "a mixed-dimension blob must not deserialize";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
+    EXPECT_NE(std::string(e.what()).find("dimension"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LinkageDbSerializeTest, HugeCountWithoutBodyIsTypedError) {
+  // A tuple count no bytes back must fail as corruption, not size an
+  // allocation (bad_alloc / length_error) before the first read.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 60,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    ByteWriter writer;
+    writer.WriteU64(count);
+    WriteTuple(writer, {1.0F, 0.0F}, 0);
+    EXPECT_THROW((void)LinkageDatabase::Deserialize(writer.data()), Error)
+        << "count " << count;
+  }
+}
+
+TEST(LinkageDbSerializeTest, SeededMutationsThrowOrRoundTripExactly) {
+  // Bit flips, truncations and count/length overwrites of a small
+  // database's blob: each mutant either throws caltrain::Error or
+  // deserializes to a database that re-serializes to the same bytes.
+  // Any other exception (bad_alloc, length_error) fails the test.
+  LinkageDatabase db;
+  (void)db.InsertBatch(RandomRecords(12, 3, 4, 111));
+  const Bytes blob = db.Serialize();
+  Rng rng(112);
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    Bytes mutant = blob;
+    const auto overwrite = [&](std::size_t offset, std::uint64_t value,
+                               std::size_t width) {
+      for (std::size_t b = 0; b < width && offset + b < mutant.size(); ++b) {
+        mutant[offset + b] = static_cast<std::uint8_t>(value >> (8 * b));
+      }
+    };
+    const std::uint64_t huge[] = {0xffffffffULL, 1ULL << 31, 1ULL << 40,
+                                  rng.NextU64()};
+    switch (trial % 4) {
+      case 0:  // 1-3 bit flips
+        for (int f = rng.UniformInt(1, 3); f > 0; --f) {
+          const std::size_t bit = rng.UniformU64(mutant.size() * 8);
+          mutant[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+        }
+        break;
+      case 1:  // truncation
+        mutant.resize(rng.UniformU64(mutant.size()));
+        break;
+      case 2:  // tuple count
+        overwrite(0,
+                  rng.Bernoulli(0.5F) ? rng.UniformU64(24)
+                                      : huge[rng.UniformU64(4)],
+                  8);
+        break;
+      default:  // a u32 anywhere: length prefixes, labels, floats
+        overwrite(8 + rng.UniformU64(mutant.size() - 8),
+                  rng.Bernoulli(0.5F) ? rng.UniformU64(64)
+                                      : huge[rng.UniformU64(4)],
+                  4);
+        break;
+    }
+    try {
+      const LinkageDatabase restored = LinkageDatabase::Deserialize(mutant);
+      EXPECT_EQ(restored.Serialize(), mutant) << "trial " << trial;
+      ++accepted;
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 0U);
+  EXPECT_GT(rejected, 0U);
 }
 
 TEST(LinkageDbValidationTest, LargeLabelSerializationRoundTrip) {

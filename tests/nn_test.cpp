@@ -20,6 +20,7 @@
 #include "nn/softmax.hpp"
 #include "nn/trainer.hpp"
 #include "util/error.hpp"
+#include "util/serial.hpp"
 #include "util/threadpool.hpp"
 
 namespace caltrain::nn {
@@ -717,6 +718,16 @@ TEST(NetworkEdgeTest, DeserializeRejectsCorruptBlob) {
   Bytes extended = net.SerializeModel();
   extended.push_back(0x00);  // trailing garbage
   EXPECT_THROW((void)Network::DeserializeModel(extended), Error);
+}
+
+TEST(NetworkEdgeTest, SpecHugeLayerCountIsTypedError) {
+  // A layer count no bytes back must fail as truncation, not size an
+  // allocation (bad_alloc) before the first layer is read.
+  ByteWriter writer;
+  for (const std::uint32_t dim : {28U, 28U, 3U}) writer.WriteU32(dim);
+  writer.WriteU32(0xffffffffU);
+  ByteReader reader(writer.data());
+  EXPECT_THROW((void)NetworkSpec::Deserialize(reader), Error);
 }
 
 TEST(FaceNetSpecTest, ShapesAndPenultimate) {

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -370,6 +371,26 @@ TEST(ServiceLogTest, MalformedEventInValidFrameIsCorruption) {
   try {
     (void)persist::ServiceLog::Replay(dir, persist::ReplayVisitor{});
     FAIL() << "malformed event must be corruption, not a clean replay";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
+  }
+  RemoveTree(dir);
+}
+
+TEST(ServiceLogTest, HugeCommitBatchCountIsCorruption) {
+  const std::string dir = MakeTempDir();
+  {
+    // A CRC-valid commit-batch event claiming 2^32-1 records, none of
+    // them present: corruption, not an allocation sized by the count.
+    Bytes event = persist::EncodeCommitBatch(persist::CommitBatchEvent{});
+    std::fill(event.end() - 4, event.end(), std::uint8_t{0xff});
+    auto journal = persist::Journal::Open(
+        persist::ServiceLog::JournalPath(dir), persist::SyncMode::kNone);
+    (void)journal->Append(event);
+  }
+  try {
+    (void)persist::ServiceLog::Replay(dir, persist::ReplayVisitor{});
+    FAIL() << "an unbacked record count must be corruption";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
   }

@@ -1,6 +1,7 @@
 // Property-style parameterized sweeps (TEST_P) across the substrates:
 // crypto round-trip/tamper laws, group algebra, kernel adjointness and
-// gradient checks across layer geometries, k-NN index agreement, EPC
+// gradient checks across layer geometries, linkage kNN scan vs a
+// full-sort oracle, EPC
 // residency invariants, and record-layer framing over payload sizes.
 #include <gtest/gtest.h>
 
@@ -10,8 +11,8 @@
 #include "crypto/gcm.hpp"
 #include "crypto/group.hpp"
 #include "enclave/epc.hpp"
-#include "linkage/vptree.hpp"
 #include "linkage/linkage_db.hpp"
+#include "linkage_oracle.hpp"
 #include "nn/augment.hpp"
 #include "nn/conv.hpp"
 #include "nn/dropout.hpp"
@@ -250,34 +251,33 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{64, 8, 128}));
 
 // ---------------------------------------------------------------------------
-// VP-tree agrees with brute force across dimensions and k.
+// The linkage DB's class scan agrees with a full-sort oracle across class
+// sizes, dimensions and k.
 // ---------------------------------------------------------------------------
-class VpTreeProperty
+class LinkageScanProperty
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t,
                                                  std::size_t>> {};
 
-TEST_P(VpTreeProperty, AgreesWithBruteForce) {
+TEST_P(LinkageScanProperty, MatchesFullSortOracle) {
   const auto [count, dim, k] = GetParam();
   Rng rng(count * 31 + dim * 7 + k);
-  std::vector<std::vector<float>> points(count, std::vector<float>(dim));
-  for (auto& p : points) {
-    for (float& x : p) x = rng.Gaussian();
+  linkage::LinkageDatabase db;
+  for (std::size_t i = 0; i < count; ++i) {
+    linkage::Fingerprint fp(dim);
+    for (float& x : fp) x = rng.Gaussian();
+    (void)db.Insert(std::move(fp), 0, "src", crypto::Sha256Digest{});
   }
-  const linkage::VpTree tree(points);
   for (int trial = 0; trial < 5; ++trial) {
-    std::vector<float> query(dim);
+    linkage::Fingerprint query(dim);
     for (float& x : query) x = rng.Gaussian();
-    const auto exact = linkage::BruteForceKnn(points, query, k);
-    const auto fast = tree.Search(query, k);
-    ASSERT_EQ(fast.size(), exact.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_NEAR(fast[i].distance, exact[i].distance, 1e-9);
-    }
+    EXPECT_TRUE(linkage::SameMatches(db.QueryNearest(query, 0, k),
+                                     linkage::OracleNearest(db, query, 0, k)))
+        << "trial " << trial;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweeps, VpTreeProperty,
+    Sweeps, LinkageScanProperty,
     ::testing::Combine(::testing::Values(10, 100, 500),
                        ::testing::Values(2, 16, 64),
                        ::testing::Values(1, 5, 20)));
@@ -458,8 +458,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.0F, 0.3F)));
 
 // ---------------------------------------------------------------------------
-// Linkage DB invariants across query sizes: sorted, class-pure, and the
-// VP-tree path agrees with brute force.
+// Linkage DB invariants across query sizes: sorted, class-pure, and equal
+// to the full-sort oracle.
 // ---------------------------------------------------------------------------
 class LinkageQueryProperty : public ::testing::TestWithParam<std::size_t> {};
 
@@ -480,12 +480,13 @@ TEST_P(LinkageQueryProperty, SortedClassPureAndConsistent) {
 
   for (int label = 0; label < 4; ++label) {
     const auto fast = db.QueryNearest(probe, label, k);
-    const auto exact = db.QueryNearestBruteForce(probe, label, k);
-    ASSERT_EQ(fast.size(), exact.size());
+    EXPECT_TRUE(linkage::SameMatches(
+        fast, linkage::OracleNearest(db, probe, label, k)));
     for (std::size_t i = 0; i < fast.size(); ++i) {
       EXPECT_EQ(fast[i].label, label);
-      EXPECT_NEAR(fast[i].distance, exact[i].distance, 1e-9);
-      if (i > 0) EXPECT_LE(fast[i - 1].distance, fast[i].distance);
+      if (i > 0) {
+        EXPECT_LE(fast[i - 1].distance, fast[i].distance);
+      }
     }
   }
 }
