@@ -412,6 +412,54 @@ CALTRAIN_CONV_BWD_BENCH(T2s16_L2_conv8_3x3, 8, 784, 72);
 CALTRAIN_CONV_BWD_BENCH(L1_conv128_3x3, 128, 784, 27);
 #undef CALTRAIN_CONV_BWD_BENCH
 
+// The data movement around the conv GEMMs, single-thread: the wide
+// im2col lowering of a 3x3/1 same-padded conv and its col2im
+// scatter-add inverse (the input-gradient half of conv backward).
+// Shapes are the Table II(16) L2/L7/L12 inputs on the 8-sample shard
+// block, and FaceNet(width/2)'s second conv at batch 1 (the per-request
+// Investigate forward).  `bytes` is the column buffer's size.
+void ConvDataMovement(benchmark::State& state, int channels, int size,
+                      int batch, bool col2im) {
+  util::ScopedThreads guard(1);
+  Rng rng(7);
+  const std::size_t sample =
+      static_cast<std::size_t>(channels) * size * size;
+  const std::size_t col_floats = sample * 9 * static_cast<std::size_t>(batch);
+  std::vector<float> in(sample * static_cast<std::size_t>(batch)),
+      col(col_floats);
+  for (float& x : in) x = rng.Gaussian();
+  for (float& x : col) x = rng.Gaussian();
+  for (auto _ : state) {
+    if (col2im) {
+      nn::Col2ImBatch(col.data(), batch, channels, size, size, 3, 1, 1,
+                      in.data(), sample);
+      benchmark::DoNotOptimize(in.data());
+    } else {
+      nn::Im2ColBatch(in.data(), sample, batch, channels, size, size, 3, 1,
+                      1, col.data());
+      benchmark::DoNotOptimize(col.data());
+    }
+  }
+  state.counters["bytes"] = static_cast<double>(col_floats * sizeof(float));
+  state.counters["threads"] = 1;
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(col_floats * sizeof(float)));
+}
+void BM_Im2Col(benchmark::State& state, int channels, int size, int batch) {
+  ConvDataMovement(state, channels, size, batch, /*col2im=*/false);
+}
+void BM_Col2Im(benchmark::State& state, int channels, int size, int batch) {
+  ConvDataMovement(state, channels, size, batch, /*col2im=*/true);
+}
+#define CALTRAIN_IM2COL_BENCH(layer, channels, size, batch)       \
+  BENCHMARK_CAPTURE(BM_Im2Col, layer, channels, size, batch);     \
+  BENCHMARK_CAPTURE(BM_Col2Im, layer, channels, size, batch)
+CALTRAIN_IM2COL_BENCH(T2s16_L2_28x28x8_b8, 8, 28, 8);
+CALTRAIN_IM2COL_BENCH(T2s16_L7_14x14x16_b8, 16, 14, 8);
+CALTRAIN_IM2COL_BENCH(T2s16_L12_7x7x32_b8, 32, 7, 8);
+CALTRAIN_IM2COL_BENCH(FaceNet2_L2_16x16x32_b1, 32, 16, 1);
+#undef CALTRAIN_IM2COL_BENCH
+
 // Serial-vs-parallel comparison for the row-blocked parallel GEMM
 // runtime (util::ParallelFor over contiguous row blocks).  threads=1 is
 // the pre-threading serial kernel bit-for-bit; the 256^3 shape is the

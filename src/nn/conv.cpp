@@ -15,6 +15,49 @@ Shape ConvOutShape(Shape in, int filters, int ksize, int stride, int pad) {
   out.c = filters;
   return out;
 }
+
+/// One sample's rows of filters [0, F): copies dL/d(out) (length n,
+/// filter rows n apart) into the wide delta (rows `ld` apart) through
+/// the activation gradient, and adds each row's sum to its bias
+/// gradient.  The F sums are independent serial chains — acc = 0,
+/// acc += row[j] for ascending j — interleaved for instruction-level
+/// parallelism, never reassociated.
+template <std::size_t F, bool kLeaky>
+inline void DeltaRows(const float* d_out, const float* out, std::size_t n,
+                      float* dst, std::size_t ld, float* bias_grads) noexcept {
+  float acc[F] = {};
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t r = 0; r < F; ++r) {
+      float v = d_out[r * n + j];
+      // Leaky ReLU preserves sign, so the post-activation output
+      // determines which branch was taken.
+      if (kLeaky && out[r * n + j] < 0.0F) v *= kLeakySlope;
+      dst[r * ld + j] = v;
+      acc[r] += v;
+    }
+  }
+  for (std::size_t r = 0; r < F; ++r) bias_grads[r] += acc[r];
+}
+
+/// DeltaRows over all m filters of one sample, eight at a time.
+template <bool kLeaky>
+void DeltaSample(const float* d_out, const float* out, std::size_t m,
+                 std::size_t n, float* dst, std::size_t ld,
+                 float* bias_grads) noexcept {
+  std::size_t f = 0;
+  for (; f + 8 <= m; f += 8) {
+    DeltaRows<8, kLeaky>(d_out + f * n, out + f * n, n, dst + f * ld, ld,
+                         bias_grads + f);
+  }
+  for (; f + 4 <= m; f += 4) {
+    DeltaRows<4, kLeaky>(d_out + f * n, out + f * n, n, dst + f * ld, ld,
+                         bias_grads + f);
+  }
+  for (; f < m; ++f) {
+    DeltaRows<1, kLeaky>(d_out + f * n, out + f * n, n, dst + f * ld, ld,
+                         bias_grads + f);
+  }
+}
 }  // namespace
 
 ConvLayer::ConvLayer(Shape in, int filters, int ksize, int stride,
@@ -122,39 +165,16 @@ void ConvLayer::Backward(const Batch& in, const Batch& out,
     const int cur = std::min(bb, in.n - s0);
     const std::size_t wn = static_cast<std::size_t>(cur) * n;
 
-    // Activation gradient, fused into the copy that lays delta out
-    // wide: row f of delta_wide[m x cur*n] holds sample s0+si's filter
-    // row at column offset si*n (matching the wide im2col layout).
+    // Activation gradient and bias gradients in one pass over
+    // dL/d(out): row f of delta_wide[m x cur*n] holds sample s0+si's
+    // filter row at column offset si*n (matching the wide im2col
+    // layout), and each bias gradient gets one row sum per sample, in
+    // sample order, on both profiles.
     for (int si = 0; si < cur; ++si) {
-      const float* d_out = delta_out.Sample(s0 + si);
-      const float* o = out.Sample(s0 + si);
-      for (std::size_t f = 0; f < m; ++f) {
-        const float* src = d_out + f * n;
-        const float* out_row = o + f * n;
-        float* dst = scratch.delta.data() + f * wn +
-                     static_cast<std::size_t>(si) * n;
-        if (!leaky) {
-          std::copy(src, src + n, dst);
-        } else {
-          // Leaky ReLU preserves sign, so the post-activation output
-          // determines which branch was taken.
-          for (std::size_t j = 0; j < n; ++j) {
-            dst[j] = out_row[j] < 0.0F ? src[j] * kLeakySlope : src[j];
-          }
-        }
-      }
-    }
-
-    // Bias gradients: per-sample row sums of delta_wide (sample order,
-    // matching the seed's accumulation grouping on both profiles).
-    for (int si = 0; si < cur; ++si) {
-      for (std::size_t f = 0; f < m; ++f) {
-        float acc = 0.0F;
-        const float* row =
-            scratch.delta.data() + f * wn + static_cast<std::size_t>(si) * n;
-        for (std::size_t j = 0; j < n; ++j) acc += row[j];
-        grads.bias_grads[f] += acc;
-      }
+      float* dst = scratch.delta.data() + static_cast<std::size_t>(si) * n;
+      (leaky ? DeltaSample<true> : DeltaSample<false>)(
+          delta_out.Sample(s0 + si), out.Sample(s0 + si), m, n, dst, wn,
+          grads.bias_grads.data());
     }
 
     // Column buffer: when the whole batch was lowered as one block in

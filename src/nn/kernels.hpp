@@ -195,19 +195,21 @@ void Col2Im(const float* col, int channels, int height, int width, int ksize,
 /// Batched im2col into a wide column buffer: samples [0, batch) of `in`
 /// (consecutive planes of `sample_stride` floats) land side by side in
 /// col_wide [c*ksize*ksize x batch*out_h*out_w], sample s at column
-/// offset s*out_h*out_w.  Row ranges are dispatched through the thread
-/// pool — across samples and, within one sample, across column rows —
-/// with every row written by exactly one thread (pure copies, so the
-/// result is identical at any thread count).
+/// offset s*out_h*out_w.  Above a fixed copy volume (a shape-only
+/// gate) (sample, channel) units are dispatched through the thread
+/// pool, every row written by exactly one thread (pure copies, so the
+/// result is identical at any thread count); smaller lowerings, such as
+/// a batch-1 forward, run serially on the caller.
 void Im2ColBatch(const float* in, std::size_t sample_stride, int batch,
                  int channels, int height, int width, int ksize, int stride,
                  int pad, float* col_wide);
 
 /// Batched inverse: scatter-adds sample s's columns (offset
 /// s*out_h*out_w, leading dimension batch*out_h*out_w) of col_wide into
-/// the s-th output plane.  Parallelized over (sample, channel) pairs —
-/// each pair's scatter region is disjoint, and the within-pair order
-/// matches the serial loop, so results are thread-count independent.
+/// the s-th output plane.  Parallelized over (sample, channel) pairs
+/// above the same copy volume — each pair's scatter region is disjoint,
+/// and every element receives its adds in kernel-offset order, so
+/// results are thread-count independent.
 void Col2ImBatch(const float* col_wide, int batch, int channels, int height,
                  int width, int ksize, int stride, int pad, float* in,
                  std::size_t sample_stride);

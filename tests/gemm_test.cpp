@@ -300,6 +300,86 @@ TEST(GemmDeterminismTest, ConvGemmBatchedBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(GemmDeterminismTest, DirectBMatchesPackedPath) {
+  // With a single MC row block (m <= 72) the tiled core reads full B
+  // panels in place and packs only a ragged last panel; 72 more rows of
+  // A make it pack B.  Rows [0, m) must be bit-identical either way:
+  // n is never a multiple of 16, k crosses KC slabs, and the batched
+  // conv form scatters its columns across sample planes.
+  constexpr std::size_t kExtraRows = 72;
+  const GemmShape shapes[] = {{4, 37, 300},  {6, 100, 260}, {29, 530, 27},
+                              {72, 250, 513}, {13, 17, 1030}};
+  for (const GemmShape& s : shapes) {
+    const std::size_t big = s.m + kExtraRows;
+    Rng rng(7000 + s.m * 13 + s.n * 7 + s.k);
+    std::vector<float> a_big(big * s.k), b(s.k * s.n), row_bias(big);
+    FillGaussian(a_big, rng);
+    FillGaussian(b, rng);
+    FillGaussian(row_bias, rng);
+    // The same A rows stored [k x m] and [k x big] for the TransA form.
+    std::vector<float> at(s.k * s.m), at_big(s.k * big);
+    for (std::size_t p = 0; p < s.k; ++p) {
+      for (std::size_t i = 0; i < big; ++i) {
+        at_big[p * big + i] = a_big[i * s.k + p];
+        if (i < s.m) at[p * s.m + i] = a_big[i * s.k + p];
+      }
+    }
+    GemmEpilogue epi;
+    epi.accumulate = false;
+    epi.row_bias = row_bias.data();
+    epi.negative_slope = 0.1F;
+
+    for (unsigned threads : {1U, 2U, 3U, 8U}) {
+      util::ScopedThreads guard(threads);
+      const auto same_rows = [&](const std::vector<float>& small_c,
+                                 const std::vector<float>& big_c,
+                                 const char* form) {
+        ASSERT_EQ(0, std::memcmp(small_c.data(), big_c.data(),
+                                 small_c.size() * sizeof(float)))
+            << form << " m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " threads=" << threads;
+      };
+      for (const bool fused : {false, true}) {
+        const GemmEpilogue e = fused ? epi : GemmEpilogue{};
+        std::vector<float> c(s.m * s.n, 0.25F), c_big(big * s.n, 0.25F);
+        GemmExFast(s.m, s.n, s.k, a_big.data(), b.data(), c.data(), e);
+        GemmExFast(big, s.n, s.k, a_big.data(), b.data(), c_big.data(), e);
+        c_big.resize(c.size());
+        same_rows(c, c_big, fused ? "GemmExFast(epilogue)" : "GemmExFast");
+
+        std::fill(c.begin(), c.end(), 0.25F);
+        c_big.assign(big * s.n, 0.25F);
+        GemmTransAExFast(s.m, s.n, s.k, at.data(), b.data(), c.data(), e);
+        GemmTransAExFast(big, s.n, s.k, at_big.data(), b.data(),
+                         c_big.data(), e);
+        c_big.resize(c.size());
+        same_rows(c, c_big, "GemmTransAExFast");
+      }
+
+      // Batched conv forward: B is the wide [k x batch*n_per] lowering,
+      // outputs are batch planes of [m x n_per].
+      constexpr int batch = 3;
+      const std::size_t n_per = s.n;
+      std::vector<float> col(s.k * batch * n_per);
+      Rng col_rng(7100 + s.n);
+      FillGaussian(col, col_rng);
+      std::vector<float> out(batch * s.m * n_per),
+          out_big(batch * big * n_per);
+      ConvGemmBatchedFast(s.m, n_per, s.k, batch, a_big.data(), col.data(),
+                          row_bias.data(), 0.1F, out.data());
+      ConvGemmBatchedFast(big, n_per, s.k, batch, a_big.data(), col.data(),
+                          row_bias.data(), 0.1F, out_big.data());
+      for (int si = 0; si < batch; ++si) {
+        ASSERT_EQ(0, std::memcmp(out.data() + si * s.m * n_per,
+                                 out_big.data() + si * big * n_per,
+                                 s.m * n_per * sizeof(float)))
+            << "ConvGemmBatchedFast m=" << s.m << " n=" << s.n
+            << " k=" << s.k << " sample=" << si << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(GemmDeterminismTest, BatchedIm2ColMatchesPerSample) {
   // The wide batched im2col must be a pure re-layout of the per-sample
   // im2col (exact equality), at every thread count.
