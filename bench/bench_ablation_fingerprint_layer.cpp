@@ -102,9 +102,10 @@ int main(int argc, char** argv) {
     // Build the linkage DB at this layer.
     linkage::LinkageDatabase db;
     linkage::ProvenanceMap provenance;
+    nn::LayerWorkspace ws(net);
     for (std::size_t i = 0; i < combined.size(); ++i) {
       const auto id = db.Insert(
-          linkage::ExtractFingerprintAt(net, combined.images[i], c.layer),
+          linkage::ExtractFingerprintAt(net, combined.images[i], c.layer, ws),
           combined.labels[i], combined.sources[i],
           data::HashTrainingInstance(combined.images[i],
                                      combined.labels[i]));
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
       const auto probs = net.PredictOne(probe);
       if (static_cast<int>(ArgMax(probs)) != target) continue;
       per_probe.push_back(db.QueryNearest(
-          linkage::ExtractFingerprintAt(net, probe, c.layer), target, 9));
+          linkage::ExtractFingerprintAt(net, probe, c.layer, ws), target, 9));
     }
     const auto eval =
         linkage::EvaluateAccountability(per_probe, provenance, "mallory");

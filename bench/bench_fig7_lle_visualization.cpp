@@ -32,12 +32,13 @@ int main(int argc, char** argv) {
     tags.push_back(tuple.source == "mallory" ? 'x' : '+');
   }
   Rng rng(profile.seed + 77);
+  nn::LayerWorkspace ws(lab->query->model());
   for (int id = 1; id < profile.identities; ++id) {
     for (int i = 0; i < 3; ++i) {
       const nn::Image probe =
           attack::ApplyTrigger(lab->faces.Sample(id, rng));
       points.push_back(linkage::ExtractFingerprintAt(
-          lab->query->model(), probe, lab->fingerprint_layer));
+          lab->query->model(), probe, lab->fingerprint_layer, ws));
       tags.push_back('o');
     }
   }

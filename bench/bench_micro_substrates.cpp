@@ -543,9 +543,10 @@ void BM_FingerprintExtractReplicaBaseline(benchmark::State& state) {
     util::ParallelForBlocked(
         0, images.size(), [&](std::size_t b0, std::size_t b1) {
           nn::Network replica = nn::Network::DeserializeModel(blob);
+          nn::LayerWorkspace ws(replica);
           for (std::size_t i = b0; i < b1; ++i) {
             fingerprints[i] =
-                linkage::ExtractFingerprintAt(replica, images[i], layer);
+                linkage::ExtractFingerprintAt(replica, images[i], layer, ws);
           }
         });
     benchmark::DoNotOptimize(fingerprints.data());

@@ -81,10 +81,11 @@ int main(int argc, char** argv) {
               "pixel_mse_wb");
   double wb_sum = 0.0, guess_sum = 0.0, base_sum = 0.0;
   constexpr int kProbes = 5;
+  nn::LayerWorkspace ws(model);
   for (int p = 0; p < kProbes; ++p) {
     const nn::Image& original = train.images[static_cast<std::size_t>(p) * 7];
     const linkage::Fingerprint target =
-        linkage::ExtractFingerprintAt(model, original, embedding_fc);
+        linkage::ExtractFingerprintAt(model, original, embedding_fc, ws);
 
     Rng wb_rng(profile.seed + 10 + p);
     const attack::InversionResult whitebox =
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
     // Judge every reconstruction against the TRUE embedding.
     const auto true_dist = [&](const nn::Image& img) {
       return linkage::FingerprintDistance(
-          linkage::ExtractFingerprintAt(model, img, embedding_fc), target);
+          linkage::ExtractFingerprintAt(model, img, embedding_fc, ws), target);
     };
     const double wb = true_dist(whitebox.reconstruction);
     const double guess = true_dist(guessed_run.reconstruction);

@@ -59,7 +59,8 @@ nn::Image ProjectIrToImage(const std::vector<float>& activation,
   return out;
 }
 
-ExposureReport AssessExposure(nn::Network& gen_net, nn::Network& val_net,
+ExposureReport AssessExposure(const nn::Network& gen_net,
+                              const nn::Network& val_net,
                               const std::vector<nn::Image>& probes) {
   CALTRAIN_REQUIRE(!probes.empty(), "need at least one probe image");
   const nn::Shape input_shape = val_net.input_shape();

@@ -46,7 +46,7 @@ struct ExposureReport {
 /// (layers whose output has w,h > 1), projects all feature maps of all
 /// probe images and scores them with `val_net`.
 [[nodiscard]] ExposureReport AssessExposure(
-    nn::Network& gen_net, nn::Network& val_net,
+    const nn::Network& gen_net, const nn::Network& val_net,
     const std::vector<nn::Image>& probes);
 
 /// Which per-layer statistic decides "this layer's IRs still leak".

@@ -12,14 +12,15 @@ namespace {
 
 /// Normalized embedding of the current candidate plus the gradient of
 /// D(x) = || e(x)/||e(x)|| - F ||^2 w.r.t. the input pixels, computed
-/// analytically through the network.
-double DistanceAndInputGradient(nn::Network& model, const nn::Batch& input,
-                                int layer,
+/// analytically through the network in `ws`.
+double DistanceAndInputGradient(const nn::Network& model,
+                                const nn::Batch& input, int layer,
                                 const linkage::Fingerprint& target,
+                                nn::LayerWorkspace& ws,
                                 std::vector<float>& grad_out) {
   nn::LayerContext ctx;  // eval mode, fast kernels
-  model.ForwardRange(&input, 0, layer + 1, ctx);
-  const nn::Batch& act = model.ActivationAt(layer);
+  model.ForwardRange(&input, 0, layer + 1, ctx, ws);
+  const nn::Batch& act = ws.activations[static_cast<std::size_t>(layer)];
   const std::size_t dim = act.SampleSize();
   CALTRAIN_REQUIRE(dim == target.size(), "fingerprint dimension mismatch");
 
@@ -27,7 +28,10 @@ double DistanceAndInputGradient(nn::Network& model, const nn::Batch& input,
   std::vector<float> e(act.data.begin(), act.data.end());
   const double norm = L2Norm(e);
   double distance_sq = 0.0;
-  nn::Batch delta(1, act.shape);
+  nn::Batch& delta = ws.deltas[static_cast<std::size_t>(layer)];
+  if (delta.n != 1 || delta.shape != act.shape) {
+    delta = nn::Batch(1, act.shape);
+  }
   if (norm <= 1e-12) {
     // Degenerate embedding: no gradient signal.
     for (float f : target) distance_sq += static_cast<double>(f) * f;
@@ -49,17 +53,15 @@ double DistanceAndInputGradient(nn::Network& model, const nn::Batch& input,
     }
   }
 
-  model.SetDeltaAt(layer, std::move(delta));
-  model.BackwardRange(0, layer + 1, ctx);
-  grad_out.assign(model.InputDelta().data.begin(),
-                  model.InputDelta().data.end());
+  model.BackwardRange(0, layer + 1, ctx, ws);
+  grad_out.assign(ws.input_delta.data.begin(), ws.input_delta.data.end());
   return std::sqrt(distance_sq);
 }
 
 }  // namespace
 
 InversionResult ReconstructFromFingerprint(
-    nn::Network& model, const linkage::Fingerprint& target_fingerprint,
+    const nn::Network& model, const linkage::Fingerprint& target_fingerprint,
     const InversionOptions& options, Rng& rng) {
   const int layer = options.embedding_layer < 0 ? model.PenultimateIndex()
                                                 : options.embedding_layer;
@@ -69,9 +71,10 @@ InversionResult ReconstructFromFingerprint(
   for (float& x : candidate.data) x = 0.5F + 0.05F * rng.Gaussian();
 
   InversionResult result;
+  nn::LayerWorkspace ws(model);
   std::vector<float> grad;
   result.initial_distance = DistanceAndInputGradient(
-      model, candidate, layer, target_fingerprint, grad);
+      model, candidate, layer, target_fingerprint, ws, grad);
 
   double best = result.initial_distance;
   for (int it = 0; it < options.iterations; ++it) {
@@ -84,7 +87,7 @@ InversionResult ReconstructFromFingerprint(
           std::clamp(candidate.data[i] - step * grad[i], 0.0F, 1.0F);
     }
     const double distance = DistanceAndInputGradient(
-        model, candidate, layer, target_fingerprint, grad);
+        model, candidate, layer, target_fingerprint, ws, grad);
     best = std::min(best, distance);
   }
 

@@ -8,7 +8,7 @@ namespace caltrain::attack {
 
 namespace {
 
-std::vector<double> TrueLabelConfidences(nn::Network& model,
+std::vector<double> TrueLabelConfidences(const nn::Network& model,
                                          const std::vector<nn::Image>& images,
                                          const std::vector<int>& labels) {
   CALTRAIN_REQUIRE(images.size() == labels.size(),
@@ -29,7 +29,7 @@ std::vector<double> TrueLabelConfidences(nn::Network& model,
 }  // namespace
 
 MembershipResult ConfidenceThresholdAttack(
-    nn::Network& model, const std::vector<nn::Image>& members,
+    const nn::Network& model, const std::vector<nn::Image>& members,
     const std::vector<int>& member_labels,
     const std::vector<nn::Image>& nonmembers,
     const std::vector<int>& nonmember_labels) {

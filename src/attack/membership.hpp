@@ -30,7 +30,7 @@ struct MembershipResult {
 /// `members` were part of training, `nonmembers` were not; both carry
 /// their true labels (the adversary knows the records it is testing).
 [[nodiscard]] MembershipResult ConfidenceThresholdAttack(
-    nn::Network& model, const std::vector<nn::Image>& members,
+    const nn::Network& model, const std::vector<nn::Image>& members,
     const std::vector<int>& member_labels,
     const std::vector<nn::Image>& nonmembers,
     const std::vector<int>& nonmember_labels);

@@ -87,7 +87,7 @@ std::vector<nn::Image> StampAll(const std::vector<nn::Image>& images,
   return out;
 }
 
-double AttackSuccessRate(nn::Network& net,
+double AttackSuccessRate(const nn::Network& net,
                          const std::vector<nn::Image>& triggered,
                          int target_class) {
   if (triggered.empty()) return 0.0;

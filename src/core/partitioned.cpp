@@ -185,20 +185,25 @@ std::vector<std::vector<float>> PartitionedTrainer::Predict(
   const int out_layer =
       net_.SoftmaxIndex() >= 0 ? net_.SoftmaxIndex() + 1 : net_.NumLayers();
   const int front = std::min(k, out_layer);
+  // One workspace carries the IRs from the enclaved front range to the
+  // host back range.
+  nn::LayerWorkspace ws(net_);
   if (front > 0) {
     enclave_.Ecall([&] {
       TouchFrontNet(input.n);
-      net_.ForwardRange(&input, 0, front, enclave_ctx);
+      net_.ForwardRange(&input, 0, front, enclave_ctx, ws);
     });
     enclave_.Ocall([&] {
-      stats_.ir_bytes_out += net_.ActivationAt(front - 1).TotalBytes();
+      stats_.ir_bytes_out +=
+          ws.activations[static_cast<std::size_t>(front - 1)].TotalBytes();
     });
   }
   if (front < out_layer) {
     net_.ForwardRange(front == 0 ? &input : nullptr, front, out_layer,
-                      host_ctx);
+                      host_ctx, ws);
   }
-  const nn::Batch& out = net_.ActivationAt(out_layer - 1);
+  const nn::Batch& out =
+      ws.activations[static_cast<std::size_t>(out_layer - 1)];
   std::vector<std::vector<float>> result(static_cast<std::size_t>(input.n));
   for (int s = 0; s < input.n; ++s) {
     result[static_cast<std::size_t>(s)].assign(

@@ -5,7 +5,6 @@
 
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
-#include "util/threadpool.hpp"
 
 namespace caltrain::core {
 
@@ -402,71 +401,50 @@ linkage::LinkageDatabase TrainingServer::FingerprintAll(
   // enclosed in the fingerprinting enclave (paper Sec. IV-C).
   const enclave::RegionId model_region = fingerprint_enclave_->epc().Allocate(
       "full-model", model_->WeightBytes(0, model_->NumLayers()));
-  if (util::Parallelism::threads() <= 1) {
-    // Serial path: unchanged from the original single-threaded stage,
-    // so threads=1 is bit-identical to the pre-threading behaviour.
-    for (const data::EncryptedRecord& record : records_) {
-      fingerprint_enclave_->Ecall([&] {
-        fingerprint_enclave_->epc().Touch(model_region);
-        const auto creds = CredentialsOf(record.participant_id);
-        CALTRAIN_CHECK(creds != nullptr, "record from deprovisioned source");
-        auto verified = data::OpenRecord(record, creds->cipher);
-        CALTRAIN_CHECK(verified.has_value(),
-                       "stored record failed re-authentication");
-        linkage::Fingerprint fp = linkage::ExtractFingerprintAt(
-            *model_, verified->image, layer);
-        (void)db.Insert(std::move(fp), verified->label,
-                        verified->participant_id, verified->content_hash);
-      });
-    }
-  } else {
-    // Parallel path.  Phase 1 authenticates and decrypts every stored
-    // record (one ECALL each, like the serial path — EPC accounting and
-    // GCM verification are not thread safe).
-    std::vector<data::VerifiedRecord> verified(records_.size());
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      fingerprint_enclave_->Ecall([&] {
-        // Lambda-inherited capability: FingerprintAll holds records_mu_.
-        records_mu_.AssertHeld();
-        fingerprint_enclave_->epc().Touch(model_region);
-        const auto creds = CredentialsOf(records_[i].participant_id);
-        CALTRAIN_CHECK(creds != nullptr, "record from deprovisioned source");
-        auto opened = data::OpenRecord(records_[i], creds->cipher);
-        CALTRAIN_CHECK(opened.has_value(),
-                       "stored record failed re-authentication");
-        verified[i] = std::move(*opened);
-      });
-    }
-    // Phases 2+3 stay inside the fingerprinting enclave — the
-    // plaintext model and the database construction must not leave the
-    // protection boundary, exactly as in the serial stage.  Phase 2 is
-    // one multi-threaded ECALL extracting every fingerprint from the
-    // *single shared enclaved model* (each worker brings only an
-    // activation workspace — no per-worker model replica and no
-    // serialization round-trip); every record's arithmetic is
-    // identical to the serial extraction.  Phase 3 goes through the
-    // segmented database's batched insert: ids are reserved in record
-    // order before the per-class appends fan out over the pool, so ids
-    // and tuples match the serial database element-wise.
-    std::vector<linkage::Fingerprint> fingerprints =
-        fingerprint_enclave_->Ecall([&] {
-          return linkage::ExtractFingerprintsBatch(
-              *model_, layer, verified.size(),
-              [&](std::size_t i) -> const nn::Image& {
-                return verified[i].image;
-              });
-        });
-    std::vector<linkage::LinkageRecord> records(verified.size());
-    for (std::size_t i = 0; i < verified.size(); ++i) {
-      records[i].fingerprint = std::move(fingerprints[i]);
-      records[i].label = verified[i].label;
-      records[i].source = verified[i].participant_id;
-      records[i].hash = verified[i].content_hash;
-    }
+  // Phase 1 authenticates and decrypts every stored record, one ECALL
+  // each (EPC accounting and GCM verification are not thread safe).
+  std::vector<data::VerifiedRecord> verified(records_.size());
+  for (std::size_t i = 0; i < records_.size(); ++i) {
     fingerprint_enclave_->Ecall([&] {
-      (void)db.InsertBatch(std::move(records));
+      // Lambda-inherited capability: FingerprintAll holds records_mu_.
+      records_mu_.AssertHeld();
+      fingerprint_enclave_->epc().Touch(model_region);
+      const auto creds = CredentialsOf(records_[i].participant_id);
+      CALTRAIN_CHECK(creds != nullptr, "record from deprovisioned source");
+      auto opened = data::OpenRecord(records_[i], creds->cipher);
+      CALTRAIN_CHECK(opened.has_value(),
+                     "stored record failed re-authentication");
+      verified[i] = std::move(*opened);
     });
   }
+  // Phases 2+3 stay inside the fingerprinting enclave — the plaintext
+  // model and the database construction must not leave the protection
+  // boundary.  Phase 2 is one multi-threaded ECALL extracting every
+  // fingerprint from the *single shared enclaved model* (each worker
+  // brings only an activation workspace — no per-worker model replica
+  // and no serialization round-trip); every record's arithmetic is the
+  // same at any thread count.  Phase 3 goes through the segmented
+  // database's batched insert: ids are reserved in record order before
+  // the per-class appends fan out over the pool, so ids and tuples
+  // match a serial record-order insert element-wise.
+  std::vector<linkage::Fingerprint> fingerprints =
+      fingerprint_enclave_->Ecall([&] {
+        return linkage::ExtractFingerprintsBatch(
+            *model_, layer, verified.size(),
+            [&](std::size_t i) -> const nn::Image& {
+              return verified[i].image;
+            });
+      });
+  std::vector<linkage::LinkageRecord> records(verified.size());
+  for (std::size_t i = 0; i < verified.size(); ++i) {
+    records[i].fingerprint = std::move(fingerprints[i]);
+    records[i].label = verified[i].label;
+    records[i].source = verified[i].participant_id;
+    records[i].hash = verified[i].content_hash;
+  }
+  fingerprint_enclave_->Ecall([&] {
+    (void)db.InsertBatch(std::move(records));
+  });
   fingerprint_enclave_->epc().Free(model_region);
   return db;
 }

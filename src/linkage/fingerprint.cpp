@@ -7,15 +7,9 @@
 
 namespace caltrain::linkage {
 
-Fingerprint ExtractFingerprint(nn::Network& net, const nn::Image& image) {
+Fingerprint ExtractFingerprint(const nn::Network& net,
+                               const nn::Image& image) {
   Fingerprint embedding = net.EmbeddingOf(image);
-  L2NormalizeInPlace(embedding);
-  return embedding;
-}
-
-Fingerprint ExtractFingerprintAt(nn::Network& net, const nn::Image& image,
-                                 int layer) {
-  Fingerprint embedding = net.EmbeddingAtLayer(image, layer);
   L2NormalizeInPlace(embedding);
   return embedding;
 }

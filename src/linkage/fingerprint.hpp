@@ -19,19 +19,14 @@ namespace caltrain::linkage {
 using Fingerprint = std::vector<float>;
 
 /// Extracts the normalized penultimate-layer embedding of `image`.
-[[nodiscard]] Fingerprint ExtractFingerprint(nn::Network& net,
+[[nodiscard]] Fingerprint ExtractFingerprint(const nn::Network& net,
                                              const nn::Image& image);
 
-/// Extracts a normalized embedding from an arbitrary layer.  The paper
+/// Extracts a normalized embedding from an arbitrary layer, running the
+/// forward pass in `ws` against the shared const `net`.  The paper
 /// fingerprints the penultimate layer; for networks with few classes a
 /// wider feature layer carries more within-class structure (see the
 /// fingerprint-layer ablation bench).
-[[nodiscard]] Fingerprint ExtractFingerprintAt(nn::Network& net,
-                                               const nn::Image& image,
-                                               int layer);
-
-/// Thread-safe variant: const forward pass through `ws` against the
-/// shared network (no model replica, no mutation of `net`).
 [[nodiscard]] Fingerprint ExtractFingerprintAt(const nn::Network& net,
                                                const nn::Image& image,
                                                int layer,
@@ -41,9 +36,9 @@ using Fingerprint = std::vector<float>;
 /// All workers run against the single shared const `net`; each worker
 /// block brings one nn::LayerWorkspace (activation buffers only — no
 /// per-worker model replica, no serialization round-trip).  Every
-/// image's arithmetic is identical to the serial ExtractFingerprintAt,
-/// so results are element-wise identical at any thread count.  Used by
-/// the fingerprinting enclave's parallel stage and the substrate bench.
+/// image's arithmetic is identical to a serial ExtractFingerprintAt, so
+/// results are element-wise identical at any thread count.  Used by the
+/// fingerprinting enclave and the substrate bench.
 [[nodiscard]] std::vector<Fingerprint> ExtractFingerprintsBatch(
     const nn::Network& net, int layer, std::size_t count,
     const std::function<const nn::Image&(std::size_t)>& image_at);

@@ -72,7 +72,6 @@ NetworkSpec NetworkSpec::Deserialize(ByteReader& reader) {
 Network::Network(const NetworkSpec& spec) : spec_(spec) {
   CALTRAIN_REQUIRE(!spec.layers.empty(), "network needs at least one layer");
   Shape current = spec.input;
-  bool saw_softmax = false;
   for (std::size_t i = 0; i < spec.layers.size(); ++i) {
     const LayerSpec& l = spec.layers[i];
     switch (l.kind) {
@@ -97,7 +96,6 @@ Network::Network(const NetworkSpec& spec) : spec_(spec) {
         break;
       case LayerKind::kSoftmax:
         layers_.push_back(std::make_unique<SoftmaxLayer>(current));
-        saw_softmax = true;
         break;
       case LayerKind::kCost:
         CALTRAIN_REQUIRE(
@@ -108,8 +106,6 @@ Network::Network(const NetworkSpec& spec) : spec_(spec) {
     }
     current = layers_.back()->out_shape();
   }
-  (void)saw_softmax;
-  default_ws_.Reset(*this);
 }
 
 void Network::InitWeights(Rng& rng) {
@@ -163,8 +159,9 @@ void Network::ForwardRange(const Batch* input, int from, int to,
     ws.batch = ws.input.n;
     current = &ws.input;
   } else {
-    CALTRAIN_REQUIRE(ws.activations[static_cast<std::size_t>(from - 1)].n ==
-                         ws.batch,
+    CALTRAIN_REQUIRE(ws.batch > 0 &&
+                         ws.activations[static_cast<std::size_t>(from - 1)].n ==
+                             ws.batch,
                      "ForwardRange continuation without prior forward");
     current = &ws.activations[static_cast<std::size_t>(from - 1)];
   }
@@ -188,7 +185,8 @@ void Network::ForwardRange(const Batch* input, int from, int to,
 void Network::BackwardRange(int from, int to, const LayerContext& ctx,
                             LayerWorkspace& ws) const {
   CheckRange(from, to);
-  CALTRAIN_REQUIRE(static_cast<int>(ws.activations.size()) == NumLayers(),
+  CALTRAIN_REQUIRE(ws.batch > 0 &&
+                       static_cast<int>(ws.activations.size()) == NumLayers(),
                    "BackwardRange without a prior forward in this workspace");
   for (int i = to - 1; i >= from; --i) {
     const Layer& layer = *layers_[static_cast<std::size_t>(i)];
@@ -221,45 +219,6 @@ void Network::UpdateRange(int from, int to, const SgdConfig& config,
     layers_[static_cast<std::size_t>(i)]->Update(config, batch_size,
                                                  grads.at(i));
   }
-}
-
-void Network::ForwardRange(const Batch* input, int from, int to,
-                           const LayerContext& ctx) {
-  ForwardRange(input, from, to, ctx, default_ws_);
-}
-
-void Network::BackwardRange(int from, int to, const LayerContext& ctx) {
-  BackwardRange(from, to, ctx, default_ws_);
-}
-
-void Network::UpdateRange(int from, int to, const SgdConfig& config,
-                          int batch_size) {
-  UpdateRange(from, to, config, batch_size, default_ws_.grads);
-}
-
-const Batch& Network::ActivationAt(int i) const {
-  CALTRAIN_REQUIRE(i >= 0 && i < NumLayers(), "layer index out of range");
-  return default_ws_.activations[static_cast<std::size_t>(i)];
-}
-
-const Batch& Network::DeltaAt(int i) const {
-  CALTRAIN_REQUIRE(i >= 0 && i < NumLayers(), "layer index out of range");
-  return default_ws_.deltas[static_cast<std::size_t>(i)];
-}
-
-void Network::SetActivationAt(int i, Batch batch) {
-  CALTRAIN_REQUIRE(i >= 0 && i < NumLayers(), "layer index out of range");
-  CALTRAIN_REQUIRE(batch.shape == layers_[static_cast<std::size_t>(i)]->out_shape(),
-                   "activation shape mismatch");
-  default_ws_.batch = batch.n;
-  default_ws_.activations[static_cast<std::size_t>(i)] = std::move(batch);
-}
-
-void Network::SetDeltaAt(int i, Batch batch) {
-  CALTRAIN_REQUIRE(i >= 0 && i < NumLayers(), "layer index out of range");
-  CALTRAIN_REQUIRE(batch.shape == layers_[static_cast<std::size_t>(i)]->out_shape(),
-                   "delta shape mismatch");
-  default_ws_.deltas[static_cast<std::size_t>(i)] = std::move(batch);
 }
 
 float Network::TrainStep(const Batch& input, const std::vector<int>& labels,
@@ -300,22 +259,19 @@ float Network::TrainStep(const Batch& input, const std::vector<int>& labels,
   // Fixed-order gradient reduction: shard order, never thread order.
   UpdateRange(0, total, config, input.n,
               ReduceShardGrads(shard_ws_, shards.size()));
-  const float loss = SumShardLosses(shard_ws_, shards.size(), cost, input.n);
-  // Keep the documented TrainStep -> LastLoss() pairing working even
-  // though the pass ran in the shard workspaces.
-  default_ws_.scratch[static_cast<std::size_t>(cost)].loss = loss;
-  return loss;
+  return SumShardLosses(shard_ws_, shards.size(), cost, input.n);
 }
 
 void Network::ReleaseTrainingWorkspaces() noexcept { shard_ws_.clear(); }
 
 std::vector<std::vector<float>> Network::Predict(const Batch& input,
-                                                 KernelProfile profile) {
+                                                 KernelProfile profile) const {
   LayerContext ctx;
   ctx.profile = profile;
   const int out_layer = SoftmaxIndex() >= 0 ? SoftmaxIndex() + 1 : NumLayers();
-  ForwardRange(&input, 0, out_layer, ctx);
-  const Batch& out = default_ws_.activations[static_cast<std::size_t>(out_layer - 1)];
+  LayerWorkspace ws(*this);
+  ForwardRange(&input, 0, out_layer, ctx, ws);
+  const Batch& out = ws.activations[static_cast<std::size_t>(out_layer - 1)];
   std::vector<std::vector<float>> result(static_cast<std::size_t>(input.n));
   for (int s = 0; s < input.n; ++s) {
     result[static_cast<std::size_t>(s)].assign(
@@ -325,20 +281,16 @@ std::vector<std::vector<float>> Network::Predict(const Batch& input,
 }
 
 std::vector<float> Network::PredictOne(const Image& image,
-                                       KernelProfile profile) {
+                                       KernelProfile profile) const {
   Batch batch(1, image.shape);
   batch.data = image.pixels;
   return Predict(batch, profile).front();
 }
 
 std::vector<float> Network::EmbeddingOf(const Image& image,
-                                        KernelProfile profile) {
-  return EmbeddingAtLayer(image, PenultimateIndex(), profile);
-}
-
-std::vector<float> Network::EmbeddingAtLayer(const Image& image, int layer,
-                                             KernelProfile profile) {
-  return EmbeddingAtLayer(image, layer, profile, default_ws_);
+                                        KernelProfile profile) const {
+  LayerWorkspace ws(*this);
+  return EmbeddingAtLayer(image, PenultimateIndex(), profile, ws);
 }
 
 std::vector<float> Network::EmbeddingAtLayer(const Image& image, int layer,
@@ -358,21 +310,20 @@ std::vector<float> Network::EmbeddingAtLayer(const Image& image, int layer,
 }
 
 std::vector<std::vector<float>> Network::AllActivations(
-    const Image& image, KernelProfile profile) {
+    const Image& image, KernelProfile profile) const {
   LayerContext ctx;
   ctx.profile = profile;
-  Batch batch(1, image.shape);
-  batch.data = image.pixels;
-  ForwardRange(&batch, 0, NumLayers(), ctx);
+  LayerWorkspace ws(*this);
+  ws.input = Batch(1, image.shape);
+  ws.input.data = image.pixels;
+  ForwardRange(&ws.input, 0, NumLayers(), ctx, ws);
   std::vector<std::vector<float>> result;
   result.reserve(layers_.size());
-  for (const Batch& act : default_ws_.activations) {
+  for (const Batch& act : ws.activations) {
     result.emplace_back(act.data.begin(), act.data.end());
   }
   return result;
 }
-
-float Network::LastLoss() const { return LossOf(default_ws_); }
 
 float Network::LossOf(const LayerWorkspace& ws) const {
   const int cost = CostIndex();

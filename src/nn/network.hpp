@@ -5,19 +5,20 @@
 // BackwardRange / UpdateRange — because CalTrain's partitioned training
 // (paper Sec. IV-B) runs the FrontNet range inside the enclave and the
 // BackNet range outside, shuttling intermediate representations and
-// deltas across the boundary.  The convenience Train/Predict helpers
+// deltas across the boundary.  The convenience Predict/Embedding helpers
 // run the whole stack.
 //
-// Each range primitive exists in two forms: a const overload taking an
-// explicit LayerWorkspace (thread-safe — a const Network is shareable
-// across workers, each with its own workspace) and a legacy overload
-// bound to the network's built-in default workspace for single-threaded
-// convenience callers.  TrainStep is the deterministic data-parallel
-// SGD step: the batch is decomposed into fixed-size shards (never a
-// function of the thread count), each shard runs forward/backward in
-// its own workspace with its own derived RNG stream, and gradients are
-// reduced in shard order — so the result is bit-identical at any
-// thread count.
+// A const Network is its spec plus its weights: every pass names the
+// LayerWorkspace that holds its activations, deltas and scratch (the
+// helpers use one local to the call), so one const Network is
+// shareable across workers, each with its own workspace.  The only
+// workspaces a Network owns are TrainStep's per-shard buffers, which
+// that non-const method alone touches.
+// TrainStep is the deterministic data-parallel SGD step: the batch is
+// decomposed into fixed-size shards (never a function of the thread
+// count), each shard runs forward/backward in its own workspace with
+// its own derived RNG stream, and gradients are reduced in shard order
+// — so the result is bit-identical at any thread count.
 #pragma once
 
 #include <memory>
@@ -79,11 +80,12 @@ class Network {
   /// Index of the first softmax layer, or -1.
   [[nodiscard]] int SoftmaxIndex() const noexcept;
 
-  // --- range execution (explicit workspace; const, thread-safe) -------
+  // --- range execution ------------------------------------------------
   /// Runs layers [from, to) into `ws`.  `input` must be provided when
   /// from == 0 and is ignored otherwise (the stored activation of layer
-  /// from-1 in `ws` is used).  Activations are cached for Backward.
-  /// Passing `&ws.input` as `input` is allowed (no self-copy).
+  /// from-1 in `ws` is used, which needs a prior forward in `ws`).
+  /// Activations are cached for Backward.  Passing `&ws.input` as
+  /// `input` is allowed (no self-copy).
   void ForwardRange(const Batch* input, int from, int to,
                     const LayerContext& ctx, LayerWorkspace& ws) const;
 
@@ -97,27 +99,6 @@ class Network {
   /// zeroing them.  Serial; mutates the weights.
   void UpdateRange(int from, int to, const SgdConfig& config, int batch_size,
                    GradientAccumulator& grads);
-
-  // --- range execution (built-in default workspace) --------------------
-  void ForwardRange(const Batch* input, int from, int to,
-                    const LayerContext& ctx);
-  void BackwardRange(int from, int to, const LayerContext& ctx);
-  void UpdateRange(int from, int to, const SgdConfig& config, int batch_size);
-
-  /// Output activation of layer i for the current batch.
-  [[nodiscard]] const Batch& ActivationAt(int i) const;
-  /// dL/d(output of layer i) for the current batch.
-  [[nodiscard]] const Batch& DeltaAt(int i) const;
-  /// Overwrites the cached activation of layer i (used when IRs re-enter
-  /// across the enclave boundary).
-  void SetActivationAt(int i, Batch batch);
-  /// Overwrites the cached delta of layer i.
-  void SetDeltaAt(int i, Batch batch);
-  /// dL/d(network input) after a BackwardRange that reached layer 0
-  /// (used by gradient-based input reconstruction, attack/inversion.hpp).
-  [[nodiscard]] const Batch& InputDelta() const noexcept {
-    return default_ws_.input_delta;
-  }
 
   // --- convenience ----------------------------------------------------
   /// One deterministic data-parallel SGD step on a labeled batch (full
@@ -135,24 +116,19 @@ class Network {
 
   /// Class probabilities for a batch (eval mode).
   [[nodiscard]] std::vector<std::vector<float>> Predict(
-      const Batch& input, KernelProfile profile = KernelProfile::kFast);
+      const Batch& input, KernelProfile profile = KernelProfile::kFast) const;
 
   /// Probabilities for a single image.
   [[nodiscard]] std::vector<float> PredictOne(
-      const Image& image, KernelProfile profile = KernelProfile::kFast);
+      const Image& image, KernelProfile profile = KernelProfile::kFast) const;
 
   /// Raw (unnormalized) penultimate-layer embedding for one image.
   [[nodiscard]] std::vector<float> EmbeddingOf(
-      const Image& image, KernelProfile profile = KernelProfile::kFast);
+      const Image& image, KernelProfile profile = KernelProfile::kFast) const;
 
-  /// Raw embedding taken at an arbitrary layer's output.
-  [[nodiscard]] std::vector<float> EmbeddingAtLayer(
-      const Image& image, int layer,
-      KernelProfile profile = KernelProfile::kFast);
-
-  /// Thread-safe embedding extraction: const forward into an explicit
-  /// workspace (the replica-free fingerprint stage runs many workers
-  /// against one shared network this way).
+  /// Raw embedding taken at an arbitrary layer's output: eval-mode
+  /// forward into `ws` (the replica-free fingerprint stage runs many
+  /// workers against one shared network this way).
   [[nodiscard]] std::vector<float> EmbeddingAtLayer(
       const Image& image, int layer, KernelProfile profile,
       LayerWorkspace& ws) const;
@@ -160,13 +136,10 @@ class Network {
   /// Activations of every layer for one image (the IRs of Sec. IV-B's
   /// assessment framework).  Entry i is the output of layer i.
   [[nodiscard]] std::vector<std::vector<float>> AllActivations(
-      const Image& image, KernelProfile profile = KernelProfile::kFast);
+      const Image& image, KernelProfile profile = KernelProfile::kFast) const;
 
   /// Mean cross-entropy loss recorded by the cost layer on the most
-  /// recent labeled forward pass through the default workspace.
-  [[nodiscard]] float LastLoss() const;
-
-  /// Same, read from an explicit workspace.
+  /// recent labeled forward pass through `ws`.
   [[nodiscard]] float LossOf(const LayerWorkspace& ws) const;
 
   /// Index of the cost layer, or -1.
@@ -196,9 +169,8 @@ class Network {
 
   NetworkSpec spec_;
   std::vector<LayerPtr> layers_;
-  /// Workspace behind the legacy single-threaded convenience API.
-  LayerWorkspace default_ws_;
-  /// Per-shard workspaces reused across TrainStep calls.
+  /// Per-shard workspaces reused across TrainStep calls (only the
+  /// non-const TrainStep touches them).
   std::vector<std::unique_ptr<LayerWorkspace>> shard_ws_;
 };
 

@@ -8,7 +8,7 @@
 
 namespace caltrain::nn {
 
-double EvaluateTopK(Network& net, const std::vector<Image>& images,
+double EvaluateTopK(const Network& net, const std::vector<Image>& images,
                     const std::vector<int>& labels, std::size_t k,
                     KernelProfile profile) {
   CALTRAIN_REQUIRE(images.size() == labels.size(),

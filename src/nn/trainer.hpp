@@ -36,7 +36,7 @@ struct EpochStats {
 using EpochCallback = std::function<void(const Network&, const EpochStats&)>;
 
 /// Top-k accuracy of `net` on a labeled set.
-[[nodiscard]] double EvaluateTopK(Network& net,
+[[nodiscard]] double EvaluateTopK(const Network& net,
                                   const std::vector<Image>& images,
                                   const std::vector<int>& labels,
                                   std::size_t k,

@@ -284,13 +284,9 @@ Result<SessionId> Service::OpenUploadSession(
 
 std::future<Result<UploadReceipt>> Service::SubmitUpload(
     SessionId session, std::vector<data::EncryptedRecord> records) {
-  auto prom = std::make_shared<std::promise<Result<UploadReceipt>>>();
-  std::future<Result<UploadReceipt>> fut = prom->get_future();
-  SubmitUploadAsync(session, std::move(records),
-                    [prom](Result<UploadReceipt> result) {
-                      prom->set_value(std::move(result));
-                    });
-  return fut;
+  return FutureOf<UploadReceipt>([&](auto done) {
+    SubmitUploadAsync(session, std::move(records), std::move(done));
+  });
 }
 
 void Service::SubmitUploadAsync(
@@ -493,12 +489,10 @@ Result<SessionStats> Service::CloseUploadSession(SessionId session) {
   // The callback path resolves either synchronously (drained session)
   // or from whichever ingest worker commits the last outstanding batch,
   // so the future below never deadlocks on this thread.
-  auto prom = std::make_shared<std::promise<Result<SessionStats>>>();
-  std::future<Result<SessionStats>> fut = prom->get_future();
-  CloseUploadSessionAsync(session, [prom](Result<SessionStats> result) {
-    prom->set_value(std::move(result));
-  });
-  return fut.get();
+  return FutureOf<SessionStats>([&](auto done) {
+           CloseUploadSessionAsync(session, std::move(done));
+         })
+      .get();
 }
 
 void Service::CloseUploadSessionAsync(
@@ -785,151 +779,151 @@ void Service::StrandLoop() {
 
 std::future<Result<core::TrainReport>> Service::SubmitTrain(
     nn::NetworkSpec spec, core::PartitionedTrainOptions options) {
-  return Schedule<core::TrainReport>(
-      [this, spec = std::move(spec),
-       options = std::move(options)]() -> Result<core::TrainReport> {
-        {
-          // Under ingest_mu_, so no upload can slip between the phase
-          // flip and the drain target snapshot.
-          util::MutexLock lock(ingest_mu_);
-          if (degraded()) {
-            return ServeError{
-                ServeErrorKind::kDegraded,
-                "durability journal unwritable; service is read-only"};
-          }
-          const Phase p = phase_.load(std::memory_order_acquire);
-          if (p != Phase::kIngest && p != Phase::kTrained) {
-            return ServeError{ServeErrorKind::kWrongPhase,
-                              std::string("cannot train in phase ") +
-                                  ToString(p)};
-          }
-          phase_.store(Phase::kTraining, std::memory_order_release);
-        }
-        DrainIngest();
-        try {
-          core::TrainReport report = server_.Train(spec, options);
-          if (log_ != nullptr) {
-            // Snapshot first, then the journal event that names it —
-            // a crash between the two leaves an orphan file, never a
-            // dangling reference.  A crash before the event replays to
-            // kIngest and the deterministic pipeline retrains the
-            // bit-identical model.
-            const std::string file =
-                "model-" + std::to_string(++model_snapshots_) + ".snap";
-            try {
-              util::RetryTransient(config_.backoff, [&] {
-                persist::WriteSnapshot(config_.durable_dir + "/" + file,
-                                       server_.model().SerializeModel());
-              });
-            } catch (const Error& e) {
-              EnterDegraded(e.what());
-              phase_.store(Phase::kIngest, std::memory_order_release);
-              return ServeError{ServeErrorKind::kDegraded, e.what()};
+  return FutureOf<core::TrainReport>([&](auto done) {
+    ScheduleAsync<core::TrainReport>(
+        [this, spec = std::move(spec),
+         options = std::move(options)]() -> Result<core::TrainReport> {
+          {
+            // Under ingest_mu_, so no upload can slip between the phase
+            // flip and the drain target snapshot.
+            util::MutexLock lock(ingest_mu_);
+            if (degraded()) {
+              return ServeError{
+                  ServeErrorKind::kDegraded,
+                  "durability journal unwritable; service is read-only"};
             }
-            persist::TrainCompleteEvent event;
-            event.model_file = file;
-            event.front_layers = server_.released_front_layers();
-            if (std::optional<ServeError> err = JournalControlEvent(
-                    [&] { (void)log_->AppendTrainComplete(event); })) {
-              phase_.store(Phase::kIngest, std::memory_order_release);
-              return *err;
+            const Phase p = phase_.load(std::memory_order_acquire);
+            if (p != Phase::kIngest && p != Phase::kTrained) {
+              return ServeError{ServeErrorKind::kWrongPhase,
+                                std::string("cannot train in phase ") +
+                                    ToString(p)};
             }
+            phase_.store(Phase::kTraining, std::memory_order_release);
           }
-          phase_.store(Phase::kTrained, std::memory_order_release);
-          return report;
-        } catch (...) {
-          // Any failure — typed or not — must reopen ingestion, or the
-          // service would be stuck in kTraining forever; the strand's
-          // Guarded wrapper folds the rethrown exception into the
-          // taxonomy.
-          phase_.store(Phase::kIngest, std::memory_order_release);
-          throw;
-        }
-      });
+          DrainIngest();
+          try {
+            core::TrainReport report = server_.Train(spec, options);
+            if (log_ != nullptr) {
+              // Snapshot first, then the journal event that names it —
+              // a crash between the two leaves an orphan file, never a
+              // dangling reference.  A crash before the event replays to
+              // kIngest and the deterministic pipeline retrains the
+              // bit-identical model.
+              const std::string file =
+                  "model-" + std::to_string(++model_snapshots_) + ".snap";
+              try {
+                util::RetryTransient(config_.backoff, [&] {
+                  persist::WriteSnapshot(config_.durable_dir + "/" + file,
+                                         server_.model().SerializeModel());
+                });
+              } catch (const Error& e) {
+                EnterDegraded(e.what());
+                phase_.store(Phase::kIngest, std::memory_order_release);
+                return ServeError{ServeErrorKind::kDegraded, e.what()};
+              }
+              persist::TrainCompleteEvent event;
+              event.model_file = file;
+              event.front_layers = server_.released_front_layers();
+              if (std::optional<ServeError> err = JournalControlEvent(
+                      [&] { (void)log_->AppendTrainComplete(event); })) {
+                phase_.store(Phase::kIngest, std::memory_order_release);
+                return *err;
+              }
+            }
+            phase_.store(Phase::kTrained, std::memory_order_release);
+            return report;
+          } catch (...) {
+            // Any failure — typed or not — must reopen ingestion, or the
+            // service would be stuck in kTraining forever; the strand's
+            // Guarded wrapper folds the rethrown exception into the
+            // taxonomy.
+            phase_.store(Phase::kIngest, std::memory_order_release);
+            throw;
+          }
+        },
+        std::move(done));
+  });
 }
 
 std::future<Result<std::size_t>> Service::SubmitFingerprint(
     int fingerprint_layer) {
-  return Schedule<std::size_t>(
-      [this, fingerprint_layer]() -> Result<std::size_t> {
-        {
-          // Check-and-flip under ingest_mu_, like SubmitTrain: a
-          // concurrent ReopenIngest must either win (and fail this
-          // request) or lose (and get kWrongPhase) — never be
-          // clobbered by the kServing store below.
-          util::MutexLock lock(ingest_mu_);
-          if (degraded()) {
-            return ServeError{
-                ServeErrorKind::kDegraded,
-                "durability journal unwritable; service is read-only"};
-          }
-          const Phase p = phase_.load(std::memory_order_acquire);
-          if (p != Phase::kTrained) {
-            return ServeError{ServeErrorKind::kWrongPhase,
-                              std::string("cannot fingerprint in phase ") +
-                                  ToString(p)};
-          }
-          phase_.store(Phase::kFingerprinting, std::memory_order_release);
-        }
-        try {
-          // Escaping errors are folded into the taxonomy by the
-          // strand's Guarded wrapper.
-          linkage::LinkageDatabase db =
-              server_.FingerprintAll(fingerprint_layer);
-          const std::size_t size = db.size();
-          if (log_ != nullptr) {
-            // Snapshot-then-journal, like SubmitTrain; serialize before
-            // the database is moved into the query stage.
-            const std::string file =
-                "linkage-" + std::to_string(++linkage_snapshots_) + ".snap";
-            try {
-              util::RetryTransient(config_.backoff, [&] {
-                persist::WriteSnapshot(config_.durable_dir + "/" + file,
-                                       db.Serialize());
-              });
-            } catch (const Error& e) {
-              EnterDegraded(e.what());
-              phase_.store(Phase::kTrained, std::memory_order_release);
-              return ServeError{ServeErrorKind::kDegraded, e.what()};
+  return FutureOf<std::size_t>([&](auto done) {
+    ScheduleAsync<std::size_t>(
+        [this, fingerprint_layer]() -> Result<std::size_t> {
+          {
+            // Check-and-flip under ingest_mu_, like SubmitTrain: a
+            // concurrent ReopenIngest must either win (and fail this
+            // request) or lose (and get kWrongPhase) — never be
+            // clobbered by the kServing store below.
+            util::MutexLock lock(ingest_mu_);
+            if (degraded()) {
+              return ServeError{
+                  ServeErrorKind::kDegraded,
+                  "durability journal unwritable; service is read-only"};
             }
-            persist::FingerprintCompleteEvent event;
-            event.linkage_file = file;
-            event.fingerprint_layer = fingerprint_layer;
-            if (std::optional<ServeError> err = JournalControlEvent([&] {
-                  (void)log_->AppendFingerprintComplete(event);
-                })) {
-              phase_.store(Phase::kTrained, std::memory_order_release);
-              return *err;
+            const Phase p = phase_.load(std::memory_order_acquire);
+            if (p != Phase::kTrained) {
+              return ServeError{ServeErrorKind::kWrongPhase,
+                                std::string("cannot fingerprint in phase ") +
+                                    ToString(p)};
             }
+            phase_.store(Phase::kFingerprinting, std::memory_order_release);
           }
-          // The query stage gets its own clone of the trained model;
-          // the server keeps its copy for release.
-          const nn::Network& model = server_.model();
-          nn::Network clone(model.spec());
-          clone.DeserializeWeightRange(
-              0, clone.NumLayers(),
-              model.SerializeWeightRange(0, model.NumLayers()));
-          query_.emplace(std::move(clone), std::move(db), fingerprint_layer);
-          phase_.store(Phase::kServing, std::memory_order_release);
-          return size;
-        } catch (...) {
-          phase_.store(Phase::kTrained, std::memory_order_release);
-          throw;
-        }
-      });
+          try {
+            // Escaping errors are folded into the taxonomy by the
+            // strand's Guarded wrapper.
+            linkage::LinkageDatabase db =
+                server_.FingerprintAll(fingerprint_layer);
+            const std::size_t size = db.size();
+            if (log_ != nullptr) {
+              // Snapshot-then-journal, like SubmitTrain; serialize before
+              // the database is moved into the query stage.
+              const std::string file =
+                  "linkage-" + std::to_string(++linkage_snapshots_) + ".snap";
+              try {
+                util::RetryTransient(config_.backoff, [&] {
+                  persist::WriteSnapshot(config_.durable_dir + "/" + file,
+                                         db.Serialize());
+                });
+              } catch (const Error& e) {
+                EnterDegraded(e.what());
+                phase_.store(Phase::kTrained, std::memory_order_release);
+                return ServeError{ServeErrorKind::kDegraded, e.what()};
+              }
+              persist::FingerprintCompleteEvent event;
+              event.linkage_file = file;
+              event.fingerprint_layer = fingerprint_layer;
+              if (std::optional<ServeError> err = JournalControlEvent([&] {
+                    (void)log_->AppendFingerprintComplete(event);
+                  })) {
+                phase_.store(Phase::kTrained, std::memory_order_release);
+                return *err;
+              }
+            }
+            // The query stage gets its own clone of the trained model;
+            // the server keeps its copy for release.
+            const nn::Network& model = server_.model();
+            nn::Network clone(model.spec());
+            clone.DeserializeWeightRange(
+                0, clone.NumLayers(),
+                model.SerializeWeightRange(0, model.NumLayers()));
+            query_.emplace(std::move(clone), std::move(db), fingerprint_layer);
+            phase_.store(Phase::kServing, std::memory_order_release);
+            return size;
+          } catch (...) {
+            phase_.store(Phase::kTrained, std::memory_order_release);
+            throw;
+          }
+        },
+        std::move(done));
+  });
 }
 
 std::future<Result<core::TrainingServer::ReleasedModel>>
 Service::SubmitRelease(std::string participant_id) {
-  auto prom = std::make_shared<
-      std::promise<Result<core::TrainingServer::ReleasedModel>>>();
-  std::future<Result<core::TrainingServer::ReleasedModel>> fut =
-      prom->get_future();
-  SubmitReleaseAsync(std::move(participant_id),
-                     [prom](Result<core::TrainingServer::ReleasedModel> r) {
-                       prom->set_value(std::move(r));
-                     });
-  return fut;
+  return FutureOf<core::TrainingServer::ReleasedModel>([&](auto done) {
+    SubmitReleaseAsync(std::move(participant_id), std::move(done));
+  });
 }
 
 void Service::SubmitReleaseAsync(
@@ -995,14 +989,9 @@ Result<Phase> Service::ReopenIngest() {
 
 std::future<Result<core::MispredictionReport>> Service::SubmitInvestigate(
     nn::Image input, std::size_t k) {
-  auto prom =
-      std::make_shared<std::promise<Result<core::MispredictionReport>>>();
-  std::future<Result<core::MispredictionReport>> fut = prom->get_future();
-  SubmitInvestigateAsync(std::move(input), k,
-                         [prom](Result<core::MispredictionReport> r) {
-                           prom->set_value(std::move(r));
-                         });
-  return fut;
+  return FutureOf<core::MispredictionReport>([&](auto done) {
+    SubmitInvestigateAsync(std::move(input), k, std::move(done));
+  });
 }
 
 void Service::SubmitInvestigateAsync(
@@ -1054,16 +1043,9 @@ void Service::RecycleQueryWorkspace(std::unique_ptr<nn::LayerWorkspace> ws) {
 std::future<Result<std::vector<core::MispredictionReport>>>
 Service::SubmitInvestigateBatch(std::vector<nn::Image> inputs,
                                 std::size_t k) {
-  auto prom = std::make_shared<
-      std::promise<Result<std::vector<core::MispredictionReport>>>>();
-  std::future<Result<std::vector<core::MispredictionReport>>> fut =
-      prom->get_future();
-  SubmitInvestigateBatchAsync(
-      std::move(inputs), k,
-      [prom](Result<std::vector<core::MispredictionReport>> r) {
-        prom->set_value(std::move(r));
-      });
-  return fut;
+  return FutureOf<std::vector<core::MispredictionReport>>([&](auto done) {
+    SubmitInvestigateBatchAsync(std::move(inputs), k, std::move(done));
+  });
 }
 
 void Service::SubmitInvestigateBatchAsync(

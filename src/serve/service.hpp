@@ -430,14 +430,16 @@ class Service {
         ServeError{ServeErrorKind::kWrongPhase, "service is shutting down"}));
   }
 
-  template <typename T, typename Fn>
-  std::future<Result<T>> Schedule(Fn fn) {
+  /// The one future adapter over the callback cores: calls
+  /// `start(done)` — which must fire `done` exactly once — and returns
+  /// a future of the result.
+  template <typename T, typename Start>
+  static std::future<Result<T>> FutureOf(Start start) {
     auto prom = std::make_shared<std::promise<Result<T>>>();
     std::future<Result<T>> fut = prom->get_future();
-    ScheduleAsync<T>(std::move(fn), std::function<void(Result<T>)>(
-                                        [prom](Result<T> result) {
-                                          prom->set_value(std::move(result));
-                                        }));
+    start(std::function<void(Result<T>)>([prom](Result<T> result) {
+      prom->set_value(std::move(result));
+    }));
     return fut;
   }
 

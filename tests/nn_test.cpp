@@ -411,8 +411,9 @@ TEST(SoftmaxCostTest, LossOfUniformLogitsIsLogN) {
   std::vector<int> labels = {2};
   LayerContext ctx;
   ctx.labels = &labels;
-  net.ForwardRange(&in, 0, net.NumLayers(), ctx);
-  EXPECT_NEAR(net.LastLoss(), std::log(4.0F), 1e-5F);
+  LayerWorkspace ws(net);
+  net.ForwardRange(&in, 0, net.NumLayers(), ctx, ws);
+  EXPECT_NEAR(net.LossOf(ws), std::log(4.0F), 1e-5F);
 }
 
 TEST(SoftmaxCostTest, CombinedGradientIsProbsMinusOneHot) {
@@ -427,13 +428,14 @@ TEST(SoftmaxCostTest, CombinedGradientIsProbsMinusOneHot) {
   LayerContext ctx;
   ctx.training = true;
   ctx.labels = &labels;
-  net.ForwardRange(&in, 0, net.NumLayers(), ctx);
-  net.BackwardRange(0, net.NumLayers(), ctx);
-  const Batch& probs = net.ActivationAt(0);
+  LayerWorkspace ws(net);
+  net.ForwardRange(&in, 0, net.NumLayers(), ctx, ws);
+  net.BackwardRange(0, net.NumLayers(), ctx, ws);
+  const Batch& probs = ws.activations[0];
   // Delta entering the softmax (= what a preceding layer would see) is
   // probs - onehot.
-  const Batch& delta = net.DeltaAt(0);
-  // DeltaAt(0) is dL/d(softmax output) which equals the cost layer's
+  const Batch& delta = ws.deltas[0];
+  // deltas[0] is dL/d(softmax output) which equals the cost layer's
   // pass-down (probs - onehot) by the pairing convention.
   EXPECT_NEAR(delta.data[0], probs.data[0] - 1.0F, 1e-6F);
   EXPECT_NEAR(delta.data[1], probs.data[1], 1e-6F);
@@ -528,12 +530,13 @@ TEST(NetworkTest, PartitionedForwardMatchesFullForward) {
   for (float& x : in.data) x = rng.UniformFloat();
 
   LayerContext ctx;
-  net.ForwardRange(&in, 0, net.NumLayers(), ctx);
-  const std::vector<float> full = net.ActivationAt(8).data;  // softmax out
+  LayerWorkspace ws(net);
+  net.ForwardRange(&in, 0, net.NumLayers(), ctx, ws);
+  const std::vector<float> full = ws.activations[8].data;  // softmax out
 
-  net.ForwardRange(&in, 0, 2, ctx);
-  net.ForwardRange(nullptr, 2, net.NumLayers(), ctx);
-  const std::vector<float> split = net.ActivationAt(8).data;
+  net.ForwardRange(&in, 0, 2, ctx, ws);
+  net.ForwardRange(nullptr, 2, net.NumLayers(), ctx, ws);
+  const std::vector<float> split = ws.activations[8].data;
   ASSERT_EQ(full.size(), split.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_FLOAT_EQ(full[i], split[i]);
@@ -679,9 +682,12 @@ TEST(NetworkEdgeTest, EmbeddingAtLayerBounds) {
   Rng rng(200);
   Network net = BuildNetwork(Table1Spec(32), rng);
   Image img(Shape{28, 28, 3});
-  EXPECT_THROW((void)net.EmbeddingAtLayer(img, -1), Error);
-  EXPECT_THROW((void)net.EmbeddingAtLayer(img, 99), Error);
-  const auto early = net.EmbeddingAtLayer(img, 0);
+  LayerWorkspace ws(net);
+  EXPECT_THROW(
+      (void)net.EmbeddingAtLayer(img, -1, KernelProfile::kFast, ws), Error);
+  EXPECT_THROW(
+      (void)net.EmbeddingAtLayer(img, 99, KernelProfile::kFast, ws), Error);
+  const auto early = net.EmbeddingAtLayer(img, 0, KernelProfile::kFast, ws);
   EXPECT_EQ(early.size(), net.layer(0).out_shape().Flat());
 }
 
@@ -702,11 +708,44 @@ TEST(NetworkEdgeTest, ForwardRangeValidatesInput) {
   Rng rng(202);
   Network net = BuildNetwork(Table1Spec(32), rng);
   LayerContext ctx;
+  LayerWorkspace ws(net);
   Batch wrong_shape(1, Shape{8, 8, 3});
-  EXPECT_THROW(net.ForwardRange(&wrong_shape, 0, 2, ctx), Error);
-  EXPECT_THROW(net.ForwardRange(nullptr, 0, 2, ctx), Error);
+  EXPECT_THROW(net.ForwardRange(&wrong_shape, 0, 2, ctx, ws), Error);
+  EXPECT_THROW(net.ForwardRange(nullptr, 0, 2, ctx, ws), Error);
   Batch ok(1, Shape{28, 28, 3});
-  EXPECT_THROW(net.ForwardRange(&ok, 2, 1, ctx), Error);  // bad range
+  EXPECT_THROW(net.ForwardRange(&ok, 2, 1, ctx, ws), Error);  // bad range
+}
+
+TEST(NetworkEdgeTest, ForwardContinuationNeedsPriorForward) {
+  // A fresh workspace holds no activations to continue from: both the
+  // stored batch size and the layer's cached batch are 0, which must
+  // not pass for "a prior forward happened".
+  Rng rng(205);
+  const Network net = BuildNetwork(Table2Spec(16), rng);
+  LayerContext ctx;
+  LayerWorkspace ws(net);
+  EXPECT_THROW(net.ForwardRange(nullptr, 2, net.NumLayers(), ctx, ws), Error);
+  // After a real forward of [0, 2) the continuation is accepted.
+  Batch in(2, net.input_shape());
+  net.ForwardRange(&in, 0, 2, ctx, ws);
+  net.ForwardRange(nullptr, 2, net.NumLayers(), ctx, ws);
+  EXPECT_EQ(ws.activations.back().n, 2);
+}
+
+TEST(NetworkEdgeTest, BackwardNeedsPriorForward) {
+  Rng rng(206);
+  const Network net = BuildNetwork(Table2Spec(16), rng);
+  LayerContext ctx;
+  LayerWorkspace ws(net);
+  EXPECT_THROW(net.BackwardRange(0, net.NumLayers(), ctx, ws), Error);
+  EXPECT_THROW(net.BackwardRange(2, 4, ctx, ws), Error);
+  // A forward of the same range makes the backward legal.
+  Batch in(1, net.input_shape());
+  std::vector<int> labels = {3};
+  ctx.labels = &labels;
+  net.ForwardRange(&in, 0, net.NumLayers(), ctx, ws);
+  net.BackwardRange(0, net.NumLayers(), ctx, ws);
+  EXPECT_EQ(ws.input_delta.n, 1);
 }
 
 TEST(NetworkEdgeTest, DeserializeRejectsCorruptBlob) {
@@ -740,6 +779,77 @@ TEST(FaceNetSpecTest, ShapesAndPenultimate) {
   // The wide embedding FC sits directly before it.
   EXPECT_EQ(net.layer(net.PenultimateIndex() - 1).out_shape(),
             (Shape{1, 1, 64}));
+}
+
+/// Float vectors equal byte for byte (not just within a tolerance).
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(SharedNetworkTest, ConstQueriesFromParallelForMatchSerial) {
+  // A const Network carries no per-pass state, so Predict,
+  // EmbeddingAtLayer (each worker with its own workspace) and
+  // AllActivations may run on one shared instance from any number of
+  // workers and must reproduce the serial answers bit for bit.
+  struct Answers {
+    std::vector<std::vector<float>> probs, embeddings, activations;
+  };
+  const auto query = [](const Network& net, const std::vector<Image>& images,
+                        KernelProfile profile) {
+    Answers out;
+    out.probs.resize(images.size());
+    out.embeddings.resize(images.size());
+    out.activations.resize(images.size());
+    util::ParallelForBlocked(0, images.size(), [&](std::size_t b0,
+                                                   std::size_t b1) {
+      LayerWorkspace ws(net);
+      for (std::size_t i = b0; i < b1; ++i) {
+        Batch one(1, images[i].shape);
+        one.data = images[i].pixels;
+        out.probs[i] = net.Predict(one, profile).front();
+        out.embeddings[i] = net.EmbeddingAtLayer(
+            images[i], net.PenultimateIndex() - 1, profile, ws);
+        for (const auto& act : net.AllActivations(images[i], profile)) {
+          out.activations[i].insert(out.activations[i].end(), act.begin(),
+                                    act.end());
+        }
+      }
+    });
+    return out;
+  };
+
+  Rng rng(207);
+  const std::vector<NetworkSpec> specs = {
+      Table2Spec(16), FaceNetSpec(Shape{32, 32, 3}, 8, 64, 2)};
+  for (const NetworkSpec& spec : specs) {
+    const Network net = BuildNetwork(spec, rng);
+    std::vector<Image> images(6, Image(spec.input));
+    for (Image& img : images) {
+      for (float& x : img.pixels) x = rng.UniformFloat();
+    }
+    for (const KernelProfile profile :
+         {KernelProfile::kFast, KernelProfile::kPrecise}) {
+      Answers serial;
+      {
+        util::ScopedThreads guard(1);
+        serial = query(net, images, profile);
+      }
+      for (const unsigned threads : {1U, 2U, 3U, 8U}) {
+        util::ScopedThreads guard(threads);
+        const Answers parallel = query(net, images, profile);
+        for (std::size_t i = 0; i < images.size(); ++i) {
+          EXPECT_TRUE(SameBits(parallel.probs[i], serial.probs[i]))
+              << "Predict image " << i << " threads=" << threads;
+          EXPECT_TRUE(SameBits(parallel.embeddings[i], serial.embeddings[i]))
+              << "EmbeddingAtLayer image " << i << " threads=" << threads;
+          EXPECT_TRUE(
+              SameBits(parallel.activations[i], serial.activations[i]))
+              << "AllActivations image " << i << " threads=" << threads;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
