@@ -86,8 +86,12 @@ ExposureReport AssessExposure(const nn::Network& gen_net,
   const auto uniform = UniformDistribution(
       static_cast<std::size_t>(val_net.NumClasses()));
 
+  // One validator workspace for every prediction below (a batch of one
+  // each: batching them through Predict would change Fast-kernel bits).
+  nn::LayerWorkspace val_ws(val_net);
   for (const nn::Image& probe : probes) {
-    const std::vector<float> reference = val_net.PredictOne(probe);
+    const std::vector<float> reference =
+        val_net.PredictOne(probe, nn::KernelProfile::kFast, val_ws);
     baseline_sum += KlDivergence(reference, uniform);
 
     const auto activations = gen_net.AllActivations(probe);
@@ -99,7 +103,8 @@ ExposureReport AssessExposure(const nn::Network& gen_net,
         const nn::Image ir = ProjectIrToImage(
             activations[static_cast<std::size_t>(layer)], shape, channel,
             input_shape);
-        const std::vector<float> ir_pred = val_net.PredictOne(ir);
+        const std::vector<float> ir_pred =
+            val_net.PredictOne(ir, nn::KernelProfile::kFast, val_ws);
         const double kl = KlDivergence(reference, ir_pred);
         exposure.min_kl = std::min(exposure.min_kl, kl);
         exposure.max_kl = std::max(exposure.max_kl, kl);

@@ -15,8 +15,10 @@ std::vector<double> TrueLabelConfidences(const nn::Network& model,
                    "image/label count mismatch");
   std::vector<double> scores;
   scores.reserve(images.size());
+  nn::LayerWorkspace ws(model);
   for (std::size_t i = 0; i < images.size(); ++i) {
-    const std::vector<float> probs = model.PredictOne(images[i]);
+    const std::vector<float> probs =
+        model.PredictOne(images[i], nn::KernelProfile::kFast, ws);
     const int label = labels[i];
     CALTRAIN_REQUIRE(label >= 0 &&
                          static_cast<std::size_t>(label) < probs.size(),

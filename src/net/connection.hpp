@@ -8,7 +8,6 @@
 // the struct needs no lock of its own.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -76,15 +75,12 @@ class Connection {
 
   FrameDecoder decoder;
 
-  /// An upload the service bounced with kQueueSaturated while the
-  /// server maps kBlock backpressure onto parked retries: the request
-  /// is held here (records copied before the first submit) and
-  /// re-submitted on the retry timer until it lands or the deadline
-  /// passes.
+  /// The upload this connection has in flight, held until its outcome
+  /// is final.  The service moves the records out only once it admits
+  /// the submission, so after a kQueueSaturated bounce they are still
+  /// here and the retry timer resubmits the same request.
   struct ParkedUpload {
     SubmitUploadRequest request;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
     bool retry_due = false;  ///< bounced; waiting for the next timer tick
   };
   std::optional<ParkedUpload> parked;

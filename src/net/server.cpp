@@ -269,27 +269,20 @@ void Server::ApplyUploadCompletion(const Completion& completion) {
       it != connections_.end() ? it->second.get() : nullptr;
 
   if (!result.ok() &&
-      result.error().kind == serve::ServeErrorKind::kQueueSaturated &&
-      options_.upload_backpressure == util::BackpressurePolicy::kBlock &&
-      conn != nullptr && conn->parked.has_value()) {
-    // The event-loop equivalent of a blocking PushUntil: park and let
-    // the retry timer resubmit — unless the submission's deadline (or
-    // the server's shutdown) arrived first.
-    const auto now = std::chrono::steady_clock::now();
-    if (conn->parked->has_deadline && now >= conn->parked->deadline) {
-      result = serve::Result<serve::UploadReceipt>(serve::ServeError{
-          serve::ServeErrorKind::kTimeout,
-          "ingest queue still full after " +
-              std::to_string(options_.submit_timeout.count()) +
-              "ms; nothing was enqueued"});
-    } else if (stop_requested_.load(std::memory_order_acquire)) {
-      result = serve::Result<serve::UploadReceipt>(serve::ServeError{
-          serve::ServeErrorKind::kWrongPhase, "server is shutting down"});
-    } else {
+      result.error().kind == serve::ServeErrorKind::kQueueSaturated) {
+    // The bounce enqueued nothing.  For a connection that is gone the
+    // gate stays put, so a reconnecting client's resubmit of the same
+    // sequence is processed fresh.  Otherwise this is the event-loop
+    // equivalent of a waiting push: the upload stays parked and the
+    // retry timer resubmits it — unless the server is shutting down.
+    if (conn == nullptr) return;
+    if (!stop_requested_.load(std::memory_order_acquire)) {
       conn->parked->retry_due = true;
       ArmRetryTimer();
       return;  // still busy; gate untouched
     }
+    result = serve::Result<serve::UploadReceipt>(serve::ServeError{
+        serve::ServeErrorKind::kWrongPhase, "server is shutting down"});
   }
 
   // Terminal (success OR error): the idempotency gate advances and the
@@ -317,13 +310,10 @@ void Server::ApplyUploadCompletion(const Completion& completion) {
 
 void Server::ArmRetryTimer() {
   if (retry_timer_armed_) return;
-  const auto ns = std::max<std::int64_t>(
-      100'000, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   options_.block_retry_interval)
-                   .count());
   itimerspec spec{};
-  spec.it_value.tv_sec = ns / 1'000'000'000;
-  spec.it_value.tv_nsec = ns % 1'000'000'000;
+  spec.it_value.tv_nsec =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(kParkedRetryInterval)
+          .count();
   if (::timerfd_settime(timer_fd_.get(), 0, &spec, nullptr) == 0) {
     retry_timer_armed_ = true;
   }
@@ -343,8 +333,7 @@ void Server::HandleTimer() {
     if (it == connections_.end()) continue;
     Connection& conn = *it->second;
     conn.parked->retry_due = false;
-    SubmitUploadRequest retry = conn.parked->request;  // keep the original
-    DispatchUpload(conn, std::move(retry));
+    DispatchUpload(conn);
   }
 }
 
@@ -656,29 +645,20 @@ bool Server::HandleSubmitUpload(Connection& conn, BytesView body) {
                               std::to_string(gate.next_seq) + ")"},
         /*close=*/false);
   }
-  DispatchUpload(conn, std::move(request));
+  conn.parked.emplace(Connection::ParkedUpload{std::move(request)});
+  DispatchUpload(conn);
   return true;
 }
 
-void Server::DispatchUpload(Connection& conn, SubmitUploadRequest request) {
+void Server::DispatchUpload(Connection& conn) {
   conn.busy = true;
-  if (options_.upload_backpressure == util::BackpressurePolicy::kBlock &&
-      !conn.parked.has_value()) {
-    // Keep a retryable copy before the records are moved out: a
-    // kQueueSaturated bounce parks the submission on this connection.
-    Connection::ParkedUpload parked;
-    parked.request = request;
-    if (options_.submit_timeout.count() > 0) {
-      parked.has_deadline = true;
-      parked.deadline =
-          std::chrono::steady_clock::now() + options_.submit_timeout;
-    }
-    conn.parked = std::move(parked);
-  }
   ++pending_requests_;
   const std::uint64_t conn_id = conn.id();
+  SubmitUploadRequest& request = conn.parked->request;
   const serve::SessionId session = request.session;
   const std::uint64_t seq = request.upload_seq;
+  // The service moves the records out only once it admits the
+  // submission, so a kQueueSaturated bounce leaves them parked here.
   service_.SubmitUploadAsync(
       session, std::move(request.records),
       [this, conn_id, session,
@@ -689,8 +669,7 @@ void Server::DispatchUpload(Connection& conn, SubmitUploadRequest request) {
         completion.upload_seq = seq;
         completion.upload.emplace(std::move(result));
         PostCompletion(std::move(completion));
-      },
-      util::BackpressurePolicy::kReject);
+      });
   UpdateEpoll(conn);
 }
 

@@ -8,18 +8,16 @@
 // queue drained by the loop, so thousands of connections ride on the
 // existing ingest workers.
 //
-// Flow control maps the service's backpressure onto the transport:
+// Flow control maps a full ingest queue onto the transport:
 //
 //   * While a connection has a request in flight, its frames stop being
 //     decoded and EPOLLIN is dropped — the kernel socket buffer fills
 //     and TCP pushes back on the remote producer.
-//   * Under kReject upload backpressure a saturated ingest queue
-//     surfaces as a typed kQueueSaturated error frame (client backs
-//     off).
-//   * Under kBlock the server PARKS the bounced upload on its
-//     connection and retries on a timer — the event-loop-shaped
-//     equivalent of a blocking PushUntil, with submit_timeout mapped to
-//     a typed kTimeout frame.
+//   * Uploads go through the service's non-waiting SubmitUploadAsync.
+//     When it bounces one with kQueueSaturated, the server PARKS the
+//     upload on its connection and resubmits it on a timer — the
+//     event-loop-shaped equivalent of a waiting push, so the loop never
+//     blocks and the client never sees the saturation.
 //   * A peer that stops reading its responses (slowloris) is cut off
 //     once its write backlog passes max_write_backlog.
 //
@@ -48,7 +46,6 @@
 #include "net/connection.hpp"
 #include "net/wire.hpp"
 #include "serve/service.hpp"
-#include "util/bounded_queue.hpp"
 #include "util/fd.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -63,16 +60,6 @@ struct ServerOptions {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Unflushed-response cap per connection (slowloris guard).
   std::size_t max_write_backlog = 64ULL << 20;
-  /// How a saturated ingest queue is mapped onto the wire: kReject
-  /// sends typed kQueueSaturated frames, kBlock parks the upload and
-  /// retries it on a timer (TCP keeps pushing back meanwhile).
-  util::BackpressurePolicy upload_backpressure =
-      util::BackpressurePolicy::kBlock;
-  /// Under kBlock, how long a parked upload may wait for queue room
-  /// before failing with a typed kTimeout.  Zero waits forever.
-  std::chrono::milliseconds submit_timeout{0};
-  /// Parked-upload retry cadence.
-  std::chrono::milliseconds block_retry_interval{2};
   /// After every in-flight request completed, how long Stop() keeps
   /// flushing buffered responses to slow readers before cutting them.
   std::chrono::milliseconds drain_timeout{5000};
@@ -143,7 +130,8 @@ class Server {
   bool HandleFrame(Connection& conn, Frame frame);
   bool HandleHello(Connection& conn, const Frame& frame);
   bool HandleSubmitUpload(Connection& conn, BytesView body);
-  void DispatchUpload(Connection& conn, SubmitUploadRequest request);
+  /// Submits the upload parked on `conn` (first try or timer retry).
+  void DispatchUpload(Connection& conn);
   void ApplyUploadCompletion(const Completion& completion);
   /// Queues a typed error frame (closing the connection afterwards if
   /// `close` — protocol violations do, service-level errors don't).
@@ -196,6 +184,8 @@ class Server {
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> frames_rejected_{0};
 
+  /// How often parked uploads are resubmitted while the queue is full.
+  static constexpr std::chrono::milliseconds kParkedRetryInterval{2};
   static constexpr std::uint64_t kListenTag = 0;
   static constexpr std::uint64_t kWakeTag = 1;
   static constexpr std::uint64_t kTimerTag = 2;

@@ -94,12 +94,10 @@ float ConvLayer::EpilogueSlope() const noexcept {
 }
 
 void ConvLayer::SizeScratch(LayerScratch& scratch, int batch_n) const {
-  // Sized once per batch shape from the network (no zero fill: every
-  // element is overwritten by im2col / the activation-gradient copy /
-  // the overwrite-mode GEMM before it is read).  Capacity is one
+  // Sized once per batch shape from the network.  Capacity is one
   // BlockSamples block, which Forward and Backward lower for both
-  // profiles alike.
-  const std::size_t m = static_cast<std::size_t>(filters_);
+  // profiles alike.  Only the forward `col` buffer: Backward sizes its
+  // own buffers, so eval-only forwards never pay for them.
   const std::size_t k =
       static_cast<std::size_t>(in_shape_.c) * ksize_ * ksize_;
   const std::size_t n = static_cast<std::size_t>(out_shape_.w) * out_shape_.h;
@@ -107,8 +105,6 @@ void ConvLayer::SizeScratch(LayerScratch& scratch, int batch_n) const {
       static_cast<std::size_t>(std::min(std::max(batch_n, 1),
                                         kConvBatchBlock));
   scratch.col.resize(k * n * bb);
-  scratch.delta.resize(m * n * bb);
-  scratch.col_delta.resize(k * n * bb);
 }
 
 void ConvLayer::Forward(const Batch& in, Batch& out,
@@ -151,10 +147,12 @@ void ConvLayer::Backward(const Batch& in, const Batch& out,
 
   LayerScratch& scratch = *ctx.scratch;
   const int bb = BlockSamples(in.n);
-  if (scratch.col.size() < k * n * static_cast<std::size_t>(bb) ||
-      scratch.delta.size() < m * n * static_cast<std::size_t>(bb) ||
-      scratch.col_delta.size() < k * n * static_cast<std::size_t>(bb)) {
-    SizeScratch(scratch, in.n);
+  const std::size_t block = static_cast<std::size_t>(bb);
+  if (scratch.col.size() < k * n * block) SizeScratch(scratch, in.n);
+  // Backward-only buffers, grown on the first Backward for this shape.
+  if (scratch.delta.size() < m * n * block) scratch.delta.resize(m * n * block);
+  if (ctx.want_input_grad && scratch.col_delta.size() < k * n * block) {
+    scratch.col_delta.resize(k * n * block);
   }
   LayerGrads& grads = *ctx.grads;
   grads.EnsureSized(weights_.size(), biases_.size());

@@ -109,11 +109,11 @@ class Layer {
                         const Batch& delta_out, Batch& delta_in,
                         const LayerContext& ctx) const = 0;
 
-  /// Pre-sizes this layer's per-pass scratch for a batch of `batch_n`
+  /// Pre-sizes this layer's forward scratch for a batch of `batch_n`
   /// samples.  The Network calls this once per batch shape so the hot
-  /// Forward/Backward loops never reallocate (and never zero-fill)
-  /// their buffers; layers that size scratch lazily keep doing so when
-  /// invoked standalone.  Default: no scratch.
+  /// Forward loop never reallocates its buffers; backward-only scratch
+  /// is grown by Backward on first use, so eval-only forwards never
+  /// allocate it.  Default: no scratch.
   virtual void SizeScratch(LayerScratch& scratch, int batch_n) const {
     (void)scratch;
     (void)batch_n;

@@ -282,9 +282,15 @@ std::vector<std::vector<float>> Network::Predict(const Batch& input,
 
 std::vector<float> Network::PredictOne(const Image& image,
                                        KernelProfile profile) const {
-  Batch batch(1, image.shape);
-  batch.data = image.pixels;
-  return Predict(batch, profile).front();
+  LayerWorkspace ws(*this);
+  return PredictOne(image, profile, ws);
+}
+
+std::vector<float> Network::PredictOne(const Image& image,
+                                       KernelProfile profile,
+                                       LayerWorkspace& ws) const {
+  const int out_layer = SoftmaxIndex() >= 0 ? SoftmaxIndex() : NumLayers() - 1;
+  return EmbeddingAtLayer(image, out_layer, profile, ws);
 }
 
 std::vector<float> Network::EmbeddingOf(const Image& image,

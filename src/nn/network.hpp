@@ -122,6 +122,13 @@ class Network {
   [[nodiscard]] std::vector<float> PredictOne(
       const Image& image, KernelProfile profile = KernelProfile::kFast) const;
 
+  /// Same, forwarding through the caller's `ws`: per-image loops hold
+  /// one workspace instead of allocating one per call.  Bit-identical
+  /// to the overload above (a batch of one either way).
+  [[nodiscard]] std::vector<float> PredictOne(const Image& image,
+                                              KernelProfile profile,
+                                              LayerWorkspace& ws) const;
+
   /// Raw (unnormalized) penultimate-layer embedding for one image.
   [[nodiscard]] std::vector<float> EmbeddingOf(
       const Image& image, KernelProfile profile = KernelProfile::kFast) const;

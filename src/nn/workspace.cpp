@@ -91,7 +91,6 @@ LayerWorkspace::LayerWorkspace(const Network& net) { Reset(net); }
 
 void LayerWorkspace::Reset(const Network& net) {
   const std::size_t n = static_cast<std::size_t>(net.NumLayers());
-  input = Batch{};
   activations.assign(n, Batch{});
   deltas.assign(n, Batch{});
   input_delta = Batch{};

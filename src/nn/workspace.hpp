@@ -69,10 +69,11 @@ class GradientAccumulator {
 
 /// Per-pass mutable scratch of one layer.  Which fields a layer uses
 /// is the layer's business; unused fields stay empty.  Conv layers
-/// size their three float buffers for a whole lowering block (up to
-/// kConvBatchBlock samples side by side) via Layer::SizeScratch —
-/// sized once per batch shape, never zero-filled (every element is
-/// overwritten before it is read).
+/// size their float buffers for a whole lowering block (up to
+/// kConvBatchBlock samples side by side): `col` via Layer::SizeScratch
+/// once per batch shape, the backward-only `delta` and `col_delta` on
+/// the first Backward, so eval-only forwards never allocate them.
+/// Every element is overwritten before it is read.
 struct LayerScratch {
   std::vector<float> col;            ///< conv: wide im2col [k x block*n]
   std::vector<float> delta;          ///< conv: wide act-grad [m x block*n];
@@ -100,8 +101,10 @@ class LayerWorkspace {
   LayerWorkspace() = default;
   explicit LayerWorkspace(const Network& net);
 
-  /// (Re)sizes the per-layer slots for `net`.  Buffers are allocated
-  /// lazily by the layers themselves on first use.
+  /// (Re)sizes the per-layer slots for `net`, keeping `input` (a
+  /// forward sizes an unsized workspace after its caller filled the
+  /// input).  Buffers are allocated lazily by the layers themselves on
+  /// first use.
   void Reset(const Network& net);
 
   Batch input;                    ///< copy of the current batch input

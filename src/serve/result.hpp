@@ -20,7 +20,9 @@ namespace caltrain::serve {
 enum class ServeErrorKind {
   kUnprovisionedParticipant,  ///< no key provisioned for this identity
   kAuthFailure,               ///< cryptographic authentication failed
-  kQueueSaturated,            ///< ingest queue full under kReject policy
+  kQueueSaturated,            ///< ingest queue too full for a
+                              ///< non-waiting (callback) submission;
+                              ///< nothing was enqueued — retry later
   kWrongPhase,                ///< request illegal in the current phase
   kInvalidArgument,           ///< malformed request (bad session id, ...)
   kTimeout,          ///< a deadline elapsed first (e.g. SubmitUpload's

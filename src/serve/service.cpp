@@ -19,8 +19,7 @@ Service::Service(core::TrainingServer& server, ServiceConfig config,
                                    ? config_.ingest_workers
                                    : util::Parallelism::threads())),
       pool_(util::ThreadPool::Global()),
-      queue_(std::max<std::size_t>(1, config_.queue_capacity),
-             config_.backpressure) {
+      queue_(std::max<std::size_t>(1, config_.queue_capacity)) {
   config_.ingest_batch = std::max<std::size_t>(1, config_.ingest_batch);
   if (!config_.durable_dir.empty()) {
     // Both paths run before any worker thread exists, so recovery and
@@ -285,14 +284,19 @@ Result<SessionId> Service::OpenUploadSession(
 std::future<Result<UploadReceipt>> Service::SubmitUpload(
     SessionId session, std::vector<data::EncryptedRecord> records) {
   return FutureOf<UploadReceipt>([&](auto done) {
-    SubmitUploadAsync(session, std::move(records), std::move(done));
+    SubmitUploadCore(session, records, std::move(done), /*wait=*/true);
   });
 }
 
 void Service::SubmitUploadAsync(
-    SessionId session, std::vector<data::EncryptedRecord> records,
-    std::function<void(Result<UploadReceipt>)> done,
-    std::optional<util::BackpressurePolicy> backpressure) {
+    SessionId session, std::vector<data::EncryptedRecord>&& records,
+    std::function<void(Result<UploadReceipt>)> done) {
+  SubmitUploadCore(session, records, std::move(done), /*wait=*/false);
+}
+
+void Service::SubmitUploadCore(
+    SessionId session, std::vector<data::EncryptedRecord>& records,
+    std::function<void(Result<UploadReceipt>)> done, bool wait) {
   auto sub = std::make_shared<Submission>();
   sub->done_cb = std::move(done);
   const auto fail = [&sub](ServeErrorKind kind, std::string message) {
@@ -301,18 +305,14 @@ void Service::SubmitUploadAsync(
   };
   sub->submitted = records.size();
 
-  // The per-submission override only changes how THIS producer meets a
-  // full queue; the queue itself keeps its configured policy.
-  const util::BackpressurePolicy policy =
-      backpressure.value_or(config_.backpressure);
   const std::size_t batch = config_.ingest_batch;
   const std::size_t n_batches = (records.size() + batch - 1) / batch;
   // The submission-wide deadline starts at entry, so a slow producer
-  // spanning many batches cannot block past submit_timeout in total.
-  const bool use_deadline = config_.submit_timeout.count() > 0 &&
-                            policy == util::BackpressurePolicy::kBlock;
+  // spanning many batches cannot wait past submit_timeout in total.
   const std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::now() + config_.submit_timeout;
+      config_.submit_timeout.count() > 0
+          ? std::chrono::steady_clock::now() + config_.submit_timeout
+          : std::chrono::steady_clock::time_point::max();
 
   // ingest_mu_ orders ticket assignment across producers and fences the
   // enqueue against a phase flip by SubmitTrain.
@@ -341,7 +341,7 @@ void Service::SubmitUploadAsync(
       sub->done_cb(Result<UploadReceipt>(UploadReceipt{}));
       return;
     }
-    if (policy == util::BackpressurePolicy::kReject) {
+    if (!wait) {
       if (n_batches > queue_.capacity()) {
         // Retrying can never help: the submission does not fit an
         // empty queue.  Tell the client to split it instead of
@@ -428,56 +428,25 @@ void Service::SubmitUploadAsync(
                         std::make_move_iterator(records.begin() +
                                                 static_cast<std::ptrdiff_t>(
                                                     last)));
-    if (policy == util::BackpressurePolicy::kReject) {
-      // The capacity precheck above ran under ingest_mu_, which every
-      // producer holds; consumers only shrink the queue, so a failed
-      // TryPush here can only mean the queue was closed for shutdown.
-      if (!queue_.TryPush(std::move(item))) {
-        abort_push(ServeErrorKind::kWrongPhase, "service is shutting down");
-        return;
-      }
-    } else if (use_deadline) {
-      // Deadline-aware wait for queue room: the producer is throttled,
-      // but never for longer than submit_timeout across the whole
-      // submission.
-      const util::PushResult result =
-          queue_.PushUntil(std::move(item), deadline);
-      if (result == util::PushResult::kTimedOut) {
-        abort_push(ServeErrorKind::kTimeout,
-                   "ingest queue still full after " +
-                       std::to_string(config_.submit_timeout.count()) +
-                       "ms; nothing further was enqueued");
-        return;
-      }
-      if (result == util::PushResult::kClosed) {
-        abort_push(ServeErrorKind::kWrongPhase, "service is shutting down");
-        return;
-      }
-    } else if (queue_.policy() == util::BackpressurePolicy::kBlock) {
-      if (!queue_.Push(std::move(item))) {
-        // Under kBlock this waits for queue room (backpressure
-        // throttles the producer); it only fails once the service is
-        // shutting down — a permanent condition, so not the retryable
-        // kQueueSaturated.
-        abort_push(ServeErrorKind::kWrongPhase, "service is shutting down");
-        return;
-      }
-    } else {
-      // kBlock override on a kReject-configured queue (whose plain
-      // Push would bounce instead of waiting): wait without a deadline.
-      const util::PushResult result = queue_.PushUntil(
-          std::move(item), std::chrono::steady_clock::time_point::max());
-      if (result == util::PushResult::kTimedOut) {
-        // Only reachable through the queue.push fault point — there is
-        // no real deadline to miss.
-        abort_push(ServeErrorKind::kTimeout,
-                   "ingest queue wait failed; nothing further was enqueued");
-        return;
-      }
-      if (result == util::PushResult::kClosed) {
-        abort_push(ServeErrorKind::kWrongPhase, "service is shutting down");
-        return;
-      }
+    // The non-waiting form's capacity precheck above ran under
+    // ingest_mu_, which every producer holds; consumers only shrink the
+    // queue, so its TryPush can only fail once the queue was closed for
+    // shutdown.
+    const util::PushResult result =
+        wait ? queue_.PushUntil(std::move(item), deadline)
+             : (queue_.TryPush(std::move(item)) ? util::PushResult::kOk
+                                                : util::PushResult::kClosed);
+    if (result == util::PushResult::kTimedOut) {
+      abort_push(ServeErrorKind::kTimeout,
+                 "ingest queue wait timed out (submit_timeout " +
+                     std::to_string(config_.submit_timeout.count()) +
+                     "ms); nothing further was enqueued");
+      return;
+    }
+    if (result == util::PushResult::kClosed) {
+      // A permanent condition, so not the retryable kQueueSaturated.
+      abort_push(ServeErrorKind::kWrongPhase, "service is shutting down");
+      return;
     }
     ++next_enqueue_seq_;  // a ticket exists only for enqueued batches
     ++pushed;

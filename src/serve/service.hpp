@@ -6,9 +6,11 @@
 // session-oriented API:
 //
 //   * Upload sessions — OpenUploadSession / SubmitUpload feed a bounded
-//     MPMC ingest queue (util::BoundedQueue) with configurable
-//     backpressure (block the producer, or reject with a typed
-//     kQueueSaturated error).  Background ingest workers multiplexed
+//     MPMC ingest queue (util::BoundedQueue).  The call form decides
+//     what a full queue means: the future SubmitUpload waits for room
+//     (bounded by submit_timeout), the callback SubmitUploadAsync never
+//     waits and rejects with a typed, all-or-nothing kQueueSaturated
+//     error.  Background ingest workers multiplexed
 //     over the shared util::ThreadPool drain the queue and authenticate
 //     records in configurable batches — ONE enclave transition
 //     (enclave::TransitionGuard) per batch instead of per record, so
@@ -105,8 +107,6 @@ struct ServiceConfig {
   std::size_t ingest_batch = 32;
   /// Ingest queue capacity, in batches.
   std::size_t queue_capacity = 64;
-  /// What SubmitUpload does when the queue is full.
-  util::BackpressurePolicy backpressure = util::BackpressurePolicy::kBlock;
   /// Concurrent ingest workers on the shared pool; 0 means
   /// Parallelism::threads().
   unsigned ingest_workers = 0;
@@ -124,10 +124,9 @@ struct ServiceConfig {
   /// Retry budget for transient persist-I/O / enclave-transition /
   /// auth faults (capped exponential backoff, deterministic jitter).
   util::BackoffPolicy backoff;
-  /// Under kBlock backpressure, how long SubmitUpload may wait for
-  /// ingest-queue room before failing the submission with a typed
-  /// kTimeout (nothing from the timed-out batch onward is enqueued).
-  /// Zero waits forever (the historical behaviour).
+  /// How long the future SubmitUpload may wait for ingest-queue room
+  /// before failing the submission with a typed kTimeout (nothing from
+  /// the timed-out batch onward is enqueued).  Zero waits forever.
   std::chrono::milliseconds submit_timeout{0};
 };
 
@@ -191,32 +190,30 @@ class Service {
       const std::string& participant_id);
 
   /// Enqueues `records` for background authentication; the future
-  /// resolves once the whole submission is committed.  Typed errors:
-  /// kWrongPhase, kInvalidArgument (unknown/closed session, or a
-  /// kReject submission larger than the whole queue — splitting, not
-  /// retrying, is the fix), kQueueSaturated (kReject policy;
-  /// all-or-nothing, no partial ingest).  Under kBlock the call
-  /// blocks until the queue has room.  If the service shuts down
-  /// mid-submission, the already-enqueued prefix still commits and
-  /// the receipt reports the honest partial tally
-  /// (accepted + rejected < submitted).
+  /// resolves once the whole submission is committed.  When the queue
+  /// is full the call waits for room, for at most submit_timeout
+  /// (typed kTimeout; zero waits forever).  Typed errors: kWrongPhase,
+  /// kInvalidArgument (unknown/closed session), kTimeout.  If the
+  /// service shuts down or the deadline passes mid-submission, the
+  /// already-enqueued prefix still commits and the receipt reports the
+  /// honest partial tally (accepted + rejected < submitted).
   [[nodiscard]] std::future<Result<UploadReceipt>> SubmitUpload(
       SessionId session, std::vector<data::EncryptedRecord> records);
 
   /// Callback form of SubmitUpload, for event-driven front ends
-  /// (src/net) that must never block a worker or an event-loop thread
-  /// on a future.  `done` fires exactly once — possibly synchronously
-  /// from the calling thread (with internal service locks held), or
-  /// later from an ingest worker — and must not call back into the
-  /// Service.  `backpressure` overrides the configured policy for this
-  /// one submission: the TCP front end always submits with kReject and
-  /// maps a kQueueSaturated completion onto its own parked-retry loop
-  /// (the event-loop-shaped equivalent of kBlock), so the shared
-  /// ingest pumps are never blocked by a slow remote producer.
-  void SubmitUploadAsync(
-      SessionId session, std::vector<data::EncryptedRecord> records,
-      std::function<void(Result<UploadReceipt>)> done,
-      std::optional<util::BackpressurePolicy> backpressure = std::nullopt);
+  /// (src/net) that must never block a worker or an event-loop thread.
+  /// It never waits: a submission that does not fit the queue's free
+  /// room fails with kQueueSaturated (all-or-nothing; retry later), and
+  /// one larger than the whole queue with kInvalidArgument (split it;
+  /// retrying cannot help).  `records` is moved from only once the
+  /// submission is admitted, so every rejection before admission
+  /// leaves the caller's records intact for a retry.  `done` fires
+  /// exactly once — possibly synchronously from the calling thread
+  /// (with internal service locks held), or later from an ingest
+  /// worker — and must not call back into the Service.
+  void SubmitUploadAsync(SessionId session,
+                         std::vector<data::EncryptedRecord>&& records,
+                         std::function<void(Result<UploadReceipt>)> done);
 
   /// Closes the session, waits for its outstanding submissions, and
   /// retires its bookkeeping (the id becomes unknown afterwards).
@@ -365,6 +362,15 @@ class Service {
     std::string fail_message;
   };
 
+  /// The one upload core.  Only the public call form sets `wait`: the
+  /// future form waits for queue room (PushUntil), the callback form
+  /// never does (capacity precheck + TryPush).  Moves from `records`
+  /// only once the submission is admitted.
+  void SubmitUploadCore(SessionId session,
+                        std::vector<data::EncryptedRecord>& records,
+                        std::function<void(Result<UploadReceipt>)> done,
+                        bool wait);
+
   // Ingest workers (pool tasks).
   void MaybeSpawnPump();
   void PumpIngest();
@@ -457,7 +463,7 @@ class Service {
   std::uint64_t linkage_snapshots_ = 0;  ///< strand-only
 
   // Enqueue side: ingest_mu_ orders ticket assignment, makes the
-  // reject-policy capacity check all-or-nothing, and fences phase
+  // callback form's capacity check all-or-nothing, and fences phase
   // transitions against in-flight enqueues.  Lock order: ingest_mu_
   // before state_mu_; never the reverse.
   util::Mutex ingest_mu_;

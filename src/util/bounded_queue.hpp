@@ -1,18 +1,16 @@
-// Bounded MPMC queue — the ingest backpressure primitive of the
-// serving layer (ISSUE 5).
+// Bounded MPMC queue — the ingest queue of the serving layer.
 //
-// Any number of producers Push and any number of consumers Pop
-// concurrently.  The queue holds at most `capacity` items; what happens
-// when a producer hits the bound is the *backpressure policy*:
+// Any number of producers push and any number of consumers Pop
+// concurrently.  The queue holds at most `capacity` items.  A producer
+// that meets a full queue picks its behaviour by the call it makes:
 //
-//   * kBlock  — Push waits until a consumer makes room (ingestion
-//               throttles the producers, nothing is dropped);
-//   * kReject — Push returns false immediately (the caller turns that
-//               into a typed kQueueSaturated error and the client
-//               retries; nothing ever blocks).
+//   * PushUntil waits for room until a deadline (pass
+//     time_point::max() to wait forever) and reports kTimedOut if the
+//     queue is still full then;
+//   * TryPush never waits: it returns false at once.
 //
-// Close() ends the stream: subsequent pushes fail, blocked producers
-// wake with false, and consumers drain the remaining items before Pop
+// Close() ends the stream: subsequent pushes fail, waiting producers
+// wake with kClosed, and consumers drain the remaining items before Pop
 // returns nullopt.  This is the shutdown handshake the serving layer's
 // ingest workers rely on.
 //
@@ -34,12 +32,6 @@
 
 namespace caltrain::util {
 
-/// What Push does when the queue is at capacity.
-enum class BackpressurePolicy {
-  kBlock,   ///< wait for room
-  kReject,  ///< fail fast (caller sees saturation)
-};
-
 /// Outcome of a deadline-aware PushUntil.
 enum class PushResult {
   kOk,        ///< enqueued
@@ -50,35 +42,17 @@ enum class PushResult {
 template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity,
-                        BackpressurePolicy policy = BackpressurePolicy::kBlock)
-      : capacity_(capacity), policy_(policy) {
+  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {
     CALTRAIN_REQUIRE(capacity > 0, "queue capacity must be positive");
   }
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Enqueues `value` under the configured backpressure policy.
-  /// Returns false when the queue is closed, or — under kReject — full.
-  [[nodiscard]] bool Push(T value) EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (policy_ == BackpressurePolicy::kBlock) {
-      while (!closed_ && items_.size() >= capacity_) not_full_.Wait(lock);
-    }
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(value));
-    lock.Unlock();
-    not_empty_.NotifyOne();
-    return true;
-  }
-
-  /// Deadline-aware push: waits for room until `deadline`, regardless
-  /// of the backpressure policy (this is the kBlock producer's escape
-  /// hatch from blocking forever — the caller turns kTimedOut into a
-  /// typed kTimeout error instead of hanging).  Nothing is ever
-  /// partially enqueued: on kTimedOut/kClosed the value was not added.
-  /// Fault point "queue.push" (action `timeout`) forces kTimedOut.
+  /// Waiting push: waits for room until `deadline` (time_point::max()
+  /// waits forever).  Nothing is ever partially enqueued: on
+  /// kTimedOut/kClosed the value was not added.  Fault point
+  /// "queue.push" (action `timeout`) forces kTimedOut.
   [[nodiscard]] PushResult PushUntil(
       T value, std::chrono::steady_clock::time_point deadline)
       EXCLUDES(mutex_) {
@@ -100,7 +74,7 @@ class BoundedQueue {
     return PushResult::kOk;
   }
 
-  /// Non-waiting push regardless of policy; false when full or closed.
+  /// Non-waiting push; false when full or closed.
   [[nodiscard]] bool TryPush(T value) EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
@@ -152,7 +126,6 @@ class BoundedQueue {
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] BackpressurePolicy policy() const noexcept { return policy_; }
   [[nodiscard]] bool closed() const EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     return closed_;
@@ -160,7 +133,6 @@ class BoundedQueue {
 
  private:
   const std::size_t capacity_;
-  const BackpressurePolicy policy_;
   mutable Mutex mutex_;
   CondVar not_full_;
   CondVar not_empty_;

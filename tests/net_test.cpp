@@ -12,8 +12,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "net/server.hpp"
 #include "net/wire.hpp"
 #include "nn/presets.hpp"
+#include "persist/service_log.hpp"
 #include "serve/service.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -438,12 +442,12 @@ class RawPeer {
 
 /// Spins up a provisioned single-participant service + TCP server.
 struct NetFixture {
-  explicit NetFixture(std::size_t records = 16, ServerOptions server_options = {},
+  explicit NetFixture(std::size_t records = 16,
                       serve::ServiceConfig config = {})
       : dataset(TinyCifar(records, 32)),
         alice("alice", dataset, 502),
         service(server, config),
-        net(service, server_options) {
+        net(service) {
     alice.Provision(server, server.training_measurement());
     net.Start();
   }
@@ -650,21 +654,19 @@ TEST(NetServerTest, ResubmittedUploadSequenceReplaysWithoutReingesting) {
   EXPECT_EQ(third.type, MsgType::kUploadReceipt);
 }
 
-TEST(NetServerTest, RejectBackpressureSurfacesTypedFrames) {
+TEST(NetServerTest, UploadLargerThanQueueIsTypedErrorAndSmallOneFits) {
   serve::ServiceConfig config;
   config.ingest_batch = 1;
   config.queue_capacity = 4;
-  config.backpressure = util::BackpressurePolicy::kReject;
-  ServerOptions server_options;
-  server_options.upload_backpressure = util::BackpressurePolicy::kReject;
-  NetFixture fx(16, server_options, config);
+  NetFixture fx(16, config);
 
   Client client(fx.MakeClientOptions());
   auto session = client.OpenSession("alice");
   ASSERT_TRUE(session.ok());
 
   // 16 single-record batches can never fit a 4-slot queue: the
-  // all-or-nothing precheck rejects the submission as a typed frame.
+  // all-or-nothing precheck rejects the submission as a typed frame
+  // (parking it could never help).
   auto too_big = client.SubmitUpload(session.value(), fx.alice.PackRecords());
   ASSERT_FALSE(too_big.ok());
   EXPECT_EQ(too_big.error().kind, serve::ServeErrorKind::kInvalidArgument);
@@ -679,45 +681,116 @@ TEST(NetServerTest, RejectBackpressureSurfacesTypedFrames) {
   EXPECT_EQ(small.value().accepted, 3U);
 }
 
-TEST(NetServerTest, BlockBackpressureParksAndEveryUploadLands) {
-  // A deliberately tiny queue with concurrent remote producers: under
-  // kBlock the server parks bounced uploads and retries on its timer —
-  // every submission must eventually land, none may double-ingest.
-  serve::ServiceConfig config;
-  config.ingest_batch = 1;
-  config.queue_capacity = 2;
-  config.ingest_workers = 1;
-  ServerOptions server_options;
-  server_options.upload_backpressure = util::BackpressurePolicy::kBlock;
-  NetFixture fx(12, server_options, config);
+std::string MakeTempDir() {
+  std::string tmpl = ::testing::TempDir() + "caltrain_net_XXXXXX";
+  CALTRAIN_REQUIRE(::mkdtemp(tmpl.data()) != nullptr, "mkdtemp failed");
+  return tmpl;
+}
 
+void RemoveTree(const std::string& dir) {
+  // Test dirs hold only regular files.
+  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
+  (void)rc;
+}
+
+/// A journaled service config (no fsync) over a fresh directory.
+serve::ServiceConfig JournaledConfig(const std::string& dir) {
+  serve::ServiceConfig config;
+  config.durable_dir = dir;
+  config.journal_sync = persist::SyncMode::kNone;
+  return config;
+}
+
+/// Every record the journal under `dir` says was committed (its
+/// serialized bytes followed by its accept flag), sorted so runs with
+/// different commit orders compare equal when they committed the same
+/// records.
+std::vector<std::string> CommittedRecords(const std::string& dir) {
+  std::vector<std::string> out;
+  persist::ReplayVisitor visitor;
+  visitor.on_commit = [&out](persist::CommitBatchEvent event) {
+    for (std::size_t i = 0; i < event.records.size(); ++i) {
+      const Bytes bytes = event.records[i].Serialize();
+      out.emplace_back(bytes.begin(), bytes.end());
+      out.back().push_back(event.accepted[i]);
+    }
+  };
+  (void)persist::ServiceLog::Replay(dir, visitor);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(NetServerTest, BlockBackpressureParksAndEveryUploadLands) {
+  // A deliberately tiny queue with concurrent remote producers: the
+  // server parks bounced uploads and retries on its timer — every
+  // submission must eventually land, none may double-ingest, and the
+  // committed records must be exactly those of an uncontended run.
   constexpr int kClients = 4;
   constexpr int kUploadsPerClient = 3;
-  std::atomic<std::size_t> accepted_total{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&fx, &accepted_total] {
-      Client client(fx.MakeClientOptions());
-      auto session = client.OpenSession("alice");
-      ASSERT_TRUE(session.ok());
-      for (int u = 0; u < kUploadsPerClient; ++u) {
-        std::vector<data::EncryptedRecord> records = fx.alice.PackRecords();
-        records.resize(2);
-        auto receipt = client.SubmitUpload(session.value(),
-                                           std::move(records));
-        ASSERT_TRUE(receipt.ok())
-            << static_cast<int>(receipt.error().kind) << ": "
-            << receipt.error().message;
-        accepted_total += receipt.value().accepted;
-      }
-    });
+  constexpr std::size_t kPerUpload = 2;
+  constexpr std::size_t kRecords = kClients * kUploadsPerClient * kPerUpload;
+  const auto upload = [](const std::vector<data::EncryptedRecord>& all,
+                         int index) {
+    const auto first = all.begin() + static_cast<std::ptrdiff_t>(
+                                         static_cast<std::size_t>(index) *
+                                         kPerUpload);
+    return std::vector<data::EncryptedRecord>(
+        first, first + static_cast<std::ptrdiff_t>(kPerUpload));
+  };
+
+  const std::string contended_dir = MakeTempDir();
+  {
+    serve::ServiceConfig config = JournaledConfig(contended_dir);
+    config.ingest_batch = 1;
+    config.queue_capacity = 2;
+    config.ingest_workers = 1;
+    NetFixture fx(kRecords, config);
+    const std::vector<data::EncryptedRecord> all = fx.alice.PackRecords();
+
+    std::atomic<std::size_t> accepted_total{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&fx, &accepted_total, &all, &upload, c] {
+        Client client(fx.MakeClientOptions());
+        auto session = client.OpenSession("alice");
+        ASSERT_TRUE(session.ok());
+        for (int u = 0; u < kUploadsPerClient; ++u) {
+          auto receipt = client.SubmitUpload(
+              session.value(), upload(all, c * kUploadsPerClient + u));
+          ASSERT_TRUE(receipt.ok())
+              << static_cast<int>(receipt.error().kind) << ": "
+              << receipt.error().message;
+          accepted_total += receipt.value().accepted;
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    fx.service.DrainIngest();
+    EXPECT_EQ(accepted_total.load(), kRecords);
+    EXPECT_EQ(fx.server.accepted_records(), kRecords);
   }
-  for (auto& t : threads) t.join();
-  fx.service.DrainIngest();
-  EXPECT_EQ(accepted_total.load(), kClients * kUploadsPerClient * 2U);
-  EXPECT_EQ(fx.server.accepted_records(),
-            kClients * kUploadsPerClient * 2U);
+
+  // The same uploads, one after another over one connection.
+  const std::string uncontended_dir = MakeTempDir();
+  {
+    NetFixture fx(kRecords, JournaledConfig(uncontended_dir));
+    const std::vector<data::EncryptedRecord> all = fx.alice.PackRecords();
+    Client client(fx.MakeClientOptions());
+    auto session = client.OpenSession("alice");
+    ASSERT_TRUE(session.ok());
+    for (int i = 0; i < kClients * kUploadsPerClient; ++i) {
+      ASSERT_TRUE(client.SubmitUpload(session.value(), upload(all, i)).ok());
+    }
+    fx.service.DrainIngest();
+  }
+
+  const std::vector<std::string> contended =
+      CommittedRecords(contended_dir);
+  EXPECT_EQ(contended.size(), kRecords);
+  EXPECT_EQ(contended, CommittedRecords(uncontended_dir));
+  RemoveTree(contended_dir);
+  RemoveTree(uncontended_dir);
 }
 
 // ========================================================== fault points

@@ -691,6 +691,20 @@ TEST(NetworkEdgeTest, EmbeddingAtLayerBounds) {
   EXPECT_EQ(early.size(), net.layer(0).out_shape().Flat());
 }
 
+TEST(NetworkEdgeTest, EmbeddingAtLayerSizesAnUnsizedWorkspace) {
+  // A default-constructed workspace is sized by the first forward; the
+  // sizing must keep the input EmbeddingAtLayer just copied into it.
+  Rng rng(207);
+  const Network net = BuildNetwork(Table2Spec(16), rng);
+  Image img(net.input_shape());
+  for (float& p : img.pixels) p = rng.UniformFloat();
+  LayerWorkspace unsized;
+  LayerWorkspace sized(net);
+  const int layer = net.PenultimateIndex();
+  EXPECT_EQ(net.EmbeddingAtLayer(img, layer, KernelProfile::kFast, unsized),
+            net.EmbeddingAtLayer(img, layer, KernelProfile::kFast, sized));
+}
+
 TEST(NetworkEdgeTest, ArchitectureTableListsEveryLayer) {
   Rng rng(201);
   Network net = BuildNetwork(Table2Spec(32), rng);

@@ -5,8 +5,11 @@
 // error paths.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstddef>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/participant.hpp"
@@ -155,37 +158,117 @@ TEST(ServiceIngestTest, UnprovisionedParticipantGetsTypedError) {
             ServeErrorKind::kUnprovisionedParticipant);
 }
 
-TEST(ServiceIngestTest, RejectPolicySaturatesAllOrNothing) {
+std::vector<Bytes> SerializedRecords(
+    const std::vector<data::EncryptedRecord>& records) {
+  std::vector<Bytes> out;
+  out.reserve(records.size());
+  for (const data::EncryptedRecord& record : records) {
+    out.push_back(record.Serialize());
+  }
+  return out;
+}
+
+/// Submits through the callback form and returns the result the
+/// callback saw, plus whether it fired before SubmitUploadAsync
+/// returned.
+std::pair<Result<UploadReceipt>, bool> SubmitAsync(
+    Service& service, SessionId session,
+    std::vector<data::EncryptedRecord>& records) {
+  std::promise<Result<UploadReceipt>> promise;
+  std::future<Result<UploadReceipt>> future = promise.get_future();
+  service.SubmitUploadAsync(session, std::move(records),
+                            [&promise](Result<UploadReceipt> result) {
+                              promise.set_value(std::move(result));
+                            });
+  const bool immediate =
+      future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  return {future.get(), immediate};
+}
+
+TEST(ServiceIngestTest, AsyncSubmitSaturatesAllOrNothing) {
   core::TrainingServer server;
   core::Participant alice("alice", TinyCifar(16, 32), 502);
   alice.Provision(server, server.training_measurement());
 
   ServiceConfig config;
-  config.ingest_batch = 1;    // 16 records -> 16 batches
-  config.queue_capacity = 4;  // can never hold them all at once
-  config.backpressure = util::BackpressurePolicy::kReject;
+  config.ingest_batch = 1;    // one batch per record
+  config.queue_capacity = 4;  // can never hold all 16 at once
+  config.ingest_workers = 1;  // one pump, stalled below
   Service service(server, config);
   const Result<SessionId> session = service.OpenUploadSession("alice");
   ASSERT_TRUE(session.ok());
+  const std::vector<data::EncryptedRecord> all = alice.PackRecords();
+  const auto slice = [&all](std::size_t first, std::size_t count) {
+    return std::vector<data::EncryptedRecord>(
+        all.begin() + static_cast<std::ptrdiff_t>(first),
+        all.begin() + static_cast<std::ptrdiff_t>(first + count));
+  };
 
   // A submission that cannot fit even an empty queue is a client
   // error (split it), not a transient saturation — retrying would
   // never succeed.
-  auto receipt =
-      service.SubmitUpload(session.value(), alice.PackRecords()).get();
-  ASSERT_FALSE(receipt.ok());
-  EXPECT_EQ(receipt.error().kind, ServeErrorKind::kInvalidArgument);
-  service.DrainIngest();
-  // All-or-nothing: the rejected submission ingested nothing.
-  EXPECT_EQ(server.accepted_records(), 0U);
-  EXPECT_EQ(server.rejected_records(), 0U);
+  std::vector<data::EncryptedRecord> too_big = all;
+  const auto [too_big_result, too_big_immediate] =
+      SubmitAsync(service, session.value(), too_big);
+  ASSERT_FALSE(too_big_result.ok());
+  EXPECT_EQ(too_big_result.error().kind, ServeErrorKind::kInvalidArgument);
+  EXPECT_TRUE(too_big_immediate);
+  EXPECT_EQ(SerializedRecords(too_big), SerializedRecords(all))
+      << "a rejected submission must leave the caller's records intact";
 
-  // A submission that fits goes through on the same service.
-  std::vector<data::EncryptedRecord> some = alice.PackRecords();
-  some.resize(3);
-  auto small = service.SubmitUpload(session.value(), std::move(some)).get();
-  ASSERT_TRUE(small.ok());
-  EXPECT_EQ(small.value().accepted, 3U);
+  // Stall the only pump inside the first receipt callback so the queue
+  // can be filled deterministically.
+  std::promise<void> stalled;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  service.SubmitUploadAsync(session.value(), slice(0, 1),
+                            [&stalled, released](Result<UploadReceipt>) {
+                              stalled.set_value();
+                              released.wait();
+                            });
+  stalled.get_future().wait();
+  std::vector<data::EncryptedRecord> fill = slice(1, 4);
+  std::promise<Result<UploadReceipt>> fill_promise;
+  std::future<Result<UploadReceipt>> fill_receipt = fill_promise.get_future();
+  service.SubmitUploadAsync(session.value(), std::move(fill),
+                            [&fill_promise](Result<UploadReceipt> result) {
+                              fill_promise.set_value(std::move(result));
+                            });
+
+  // The queue now holds 4 of 4 batches: the next submission bounces
+  // at once, all-or-nothing, with the caller's records untouched.
+  // (EXPECT, not ASSERT, until the pump is released: an early return
+  // would leave it stalled.)
+  std::vector<data::EncryptedRecord> bounced = slice(5, 2);
+  const auto [saturated, saturated_immediate] =
+      SubmitAsync(service, session.value(), bounced);
+  EXPECT_TRUE(!saturated.ok() &&
+              saturated.error().kind == ServeErrorKind::kQueueSaturated);
+  EXPECT_TRUE(saturated_immediate);
+  EXPECT_EQ(SerializedRecords(bounced), SerializedRecords(slice(5, 2)))
+      << "a kQueueSaturated rejection must leave the caller's records "
+         "byte-equal";
+  release.set_value();
+
+  const Result<UploadReceipt> filled = fill_receipt.get();
+  ASSERT_TRUE(filled.ok());
+  EXPECT_EQ(filled.value().accepted, 4U);
+  service.DrainIngest();
+
+  // The same records, resubmitted once the queue drained, go through.
+  const Result<UploadReceipt> retried =
+      SubmitAsync(service, session.value(), bounced).first;
+  ASSERT_TRUE(retried.ok());
+  EXPECT_EQ(retried.value().accepted, 2U);
+
+  // The bounced submission left no trace in the session tallies.
+  const Result<SessionStats> stats =
+      service.CloseUploadSession(session.value());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().submitted, 7U);
+  EXPECT_EQ(stats.value().accepted, 7U);
+  EXPECT_EQ(server.accepted_records(), 7U);
+  EXPECT_EQ(server.rejected_records(), 0U);
 }
 
 TEST(ServiceIngestTest, WrongPhaseAndBadSessionAreTypedErrors) {

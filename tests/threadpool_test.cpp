@@ -379,6 +379,9 @@ TEST(ThreadPoolTest, EnsureWorkersGrowsButNeverShrinks) {
   EXPECT_EQ(pool.worker_count(), 3U);
 }
 
+constexpr std::chrono::steady_clock::time_point kNoDeadline =
+    std::chrono::steady_clock::time_point::max();
+
 TEST(BoundedQueueTest, FifoOrderSingleThread) {
   BoundedQueue<int> queue(4);
   EXPECT_TRUE(queue.TryPush(1));
@@ -393,22 +396,25 @@ TEST(BoundedQueueTest, FifoOrderSingleThread) {
 }
 
 TEST(BoundedQueueTest, RejectPolicyFailsFastWhenFull) {
-  BoundedQueue<int> queue(2, BackpressurePolicy::kReject);
-  EXPECT_TRUE(queue.Push(1));
-  EXPECT_TRUE(queue.Push(2));
-  EXPECT_FALSE(queue.Push(3)) << "kReject must not block on a full queue";
+  // TryPush is the non-waiting push: a full queue refuses at once.
+  BoundedQueue<int> queue(2);
+  EXPECT_TRUE(queue.TryPush(1));
+  EXPECT_TRUE(queue.TryPush(2));
+  EXPECT_FALSE(queue.TryPush(3)) << "TryPush must not wait on a full queue";
   EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  EXPECT_TRUE(queue.Push(3));
+  EXPECT_TRUE(queue.TryPush(3));
   EXPECT_EQ(queue.Pop(), std::optional<int>(2));
   EXPECT_EQ(queue.Pop(), std::optional<int>(3));
 }
 
 TEST(BoundedQueueTest, BlockPolicyWaitsForRoom) {
-  BoundedQueue<int> queue(1, BackpressurePolicy::kBlock);
-  ASSERT_TRUE(queue.Push(1));
+  // PushUntil with no deadline is the waiting push.
+  BoundedQueue<int> queue(1);
+  ASSERT_TRUE(queue.TryPush(1));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(queue.Push(2));  // blocks until the consumer pops
+    // Waits until the consumer pops.
+    EXPECT_EQ(queue.PushUntil(2, kNoDeadline), PushResult::kOk);
     pushed.store(true);
   });
   EXPECT_EQ(queue.Pop(), std::optional<int>(1));
@@ -419,17 +425,20 @@ TEST(BoundedQueueTest, BlockPolicyWaitsForRoom) {
 
 TEST(BoundedQueueTest, CloseDrainsThenSignalsConsumers) {
   BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.Push(7));
+  ASSERT_TRUE(queue.TryPush(7));
   queue.Close();
-  EXPECT_FALSE(queue.Push(8)) << "pushes fail after Close";
+  EXPECT_FALSE(queue.TryPush(8)) << "pushes fail after Close";
+  EXPECT_EQ(queue.PushUntil(8, kNoDeadline), PushResult::kClosed);
   EXPECT_EQ(queue.Pop(), std::optional<int>(7)) << "items drain after Close";
   EXPECT_EQ(queue.Pop(), std::nullopt) << "drained + closed terminates Pop";
 }
 
 TEST(BoundedQueueTest, CloseWakesBlockedProducerAndConsumer) {
-  BoundedQueue<int> full(1, BackpressurePolicy::kBlock);
-  ASSERT_TRUE(full.Push(1));
-  std::thread producer([&] { EXPECT_FALSE(full.Push(2)); });
+  BoundedQueue<int> full(1);
+  ASSERT_TRUE(full.TryPush(1));
+  std::thread producer([&] {
+    EXPECT_EQ(full.PushUntil(2, kNoDeadline), PushResult::kClosed);
+  });
   BoundedQueue<int> empty(1);
   std::thread consumer([&] { EXPECT_EQ(empty.Pop(), std::nullopt); });
   full.Close();
@@ -442,14 +451,15 @@ TEST(BoundedQueueTest, MpmcStressDeliversEveryItemExactlyOnce) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 500;
-  BoundedQueue<int> queue(8, BackpressurePolicy::kBlock);
+  BoundedQueue<int> queue(8);
   std::mutex seen_mu;
   std::vector<int> seen;
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(queue.Push(p * kPerProducer + i));
+        EXPECT_EQ(queue.PushUntil(p * kPerProducer + i, kNoDeadline),
+                  PushResult::kOk);
       }
     });
   }

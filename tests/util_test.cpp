@@ -254,8 +254,8 @@ TEST(ErrorTest, KindIsPreserved) {
 // --------------------------------------------------- deadline-aware push
 
 TEST(BoundedQueueTest, PushUntilTimesOutOnFullQueueAllOrNothing) {
-  util::BoundedQueue<int> queue(1, util::BackpressurePolicy::kBlock);
-  ASSERT_TRUE(queue.Push(1));
+  util::BoundedQueue<int> queue(1);
+  ASSERT_TRUE(queue.TryPush(1));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
   EXPECT_EQ(queue.PushUntil(2, deadline), util::PushResult::kTimedOut);
@@ -264,8 +264,8 @@ TEST(BoundedQueueTest, PushUntilTimesOutOnFullQueueAllOrNothing) {
 }
 
 TEST(BoundedQueueTest, PushUntilSucceedsOnceConsumerMakesRoom) {
-  util::BoundedQueue<int> queue(1, util::BackpressurePolicy::kBlock);
-  ASSERT_TRUE(queue.Push(1));
+  util::BoundedQueue<int> queue(1);
+  ASSERT_TRUE(queue.TryPush(1));
   std::thread consumer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     EXPECT_EQ(queue.Pop(), std::optional<int>(1));
@@ -278,7 +278,7 @@ TEST(BoundedQueueTest, PushUntilSucceedsOnceConsumerMakesRoom) {
 }
 
 TEST(BoundedQueueTest, PushUntilReportsClosedNotTimeout) {
-  util::BoundedQueue<int> queue(1, util::BackpressurePolicy::kBlock);
+  util::BoundedQueue<int> queue(1);
   queue.Close();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -287,7 +287,7 @@ TEST(BoundedQueueTest, PushUntilReportsClosedNotTimeout) {
 
 TEST(BoundedQueueTest, PushUntilHonorsTimeoutFaultPoint) {
   util::FaultInjector::Global().Configure("queue.push=timeout@1");
-  util::BoundedQueue<int> queue(4, util::BackpressurePolicy::kBlock);
+  util::BoundedQueue<int> queue(4);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   // First push hits the injected timeout despite plenty of room; the
