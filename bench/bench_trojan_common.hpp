@@ -152,8 +152,9 @@ inline std::unique_ptr<TrojanLab> BuildTrojanLab(
   // Evaluation artifacts.
   lab->test = lab->faces.Generate(
       profile.faces_per_identity_test * profile.identities, rng);
-  lab->benign_top1 = nn::EvaluateTopK(lab->server.model(), lab->test.images,
-                                      lab->test.labels, 1);
+  lab->benign_top1 = nn::EvaluateAccuracy(lab->server.model(),
+                                          lab->test.images, lab->test.labels)
+                         .top1;
   std::vector<nn::Image> probes;
   for (int id = 1; id < profile.identities; ++id) {
     for (std::size_t i = 0; i < 4; ++i) {

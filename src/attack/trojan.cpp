@@ -109,7 +109,7 @@ TrojanAttackResult RetrainWithPoison(
     const nn::TrainOptions& options) {
   TrojanAttackResult result;
   result.benign_top1_before =
-      nn::EvaluateTopK(net, benign_test, benign_test_labels, 1);
+      nn::EvaluateAccuracy(net, benign_test, benign_test_labels).top1;
 
   data::LabeledDataset combined = benign_train;
   combined.Merge(poisoned);
@@ -120,7 +120,7 @@ TrojanAttackResult RetrainWithPoison(
                          options);
 
   result.benign_top1_after =
-      nn::EvaluateTopK(net, benign_test, benign_test_labels, 1);
+      nn::EvaluateAccuracy(net, benign_test, benign_test_labels).top1;
   result.attack_success_rate =
       AttackSuccessRate(net, trigger_probes, target_class);
   return result;

@@ -144,8 +144,10 @@ HubReport HubAggregator::Train(const std::vector<nn::Image>& test_images,
     nn::EpochStats stats;
     stats.epoch = epoch;
     if (!test_images.empty()) {
-      stats.top1 = nn::EvaluateTopK(*models_[0], test_images, test_labels, 1);
-      stats.top2 = nn::EvaluateTopK(*models_[0], test_images, test_labels, 2);
+      const nn::Accuracy accuracy =
+          nn::EvaluateAccuracy(*models_[0], test_images, test_labels);
+      stats.top1 = accuracy.top1;
+      stats.top2 = accuracy.top2;
     }
     CALTRAIN_LOG(kInfo) << "[hubs] epoch " << epoch << " merged top1 "
                         << stats.top1;

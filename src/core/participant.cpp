@@ -67,8 +67,8 @@ void Participant::ProvisionVia(
   }
 
   // 2. Provision the symmetric data key and the record-signing public
-  // key over the channel (length-prefixed pair; the server also still
-  // accepts a bare 16/32-byte key for sign-less clients).
+  // key over the channel as a length-prefixed pair (the one payload the
+  // server accepts).
   ByteWriter provision;
   provision.WriteBytes(data_key_);
   const Bytes sign_pub = crypto::U128ToBytes(signing_key_.public_value);

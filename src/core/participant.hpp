@@ -1,10 +1,10 @@
 // A training participant (paper Fig. 1: participants A-D).
 //
-// Owns a private local dataset and a symmetric data key.  The
-// participant attests the server's training enclave, provisions its key
-// over the secure channel, uploads encrypted records, and — after each
-// epoch — can run the information-exposure assessment on the released
-// semi-trained model to vote on the FrontNet depth.
+// Owns a private local dataset, a data key and a signing key.  The
+// participant attests the server's training enclave, provisions its keys
+// over the secure channel, uploads signed, encrypted records, and — after
+// each epoch — can run the information-exposure assessment on the
+// released semi-trained model to vote on the FrontNet depth.
 #pragma once
 
 #include <string>

@@ -24,6 +24,15 @@ enclave::EnclaveConfig MakeEnclaveConfig(const std::string& name,
 
 }  // namespace
 
+std::shared_ptr<const TrainingServer::Credentials>
+TrainingServer::Credentials::Read(ByteReader& reader) {
+  Bytes key = reader.ReadBytes();
+  const Bytes sign_pub = reader.ReadBytes();
+  return std::make_shared<const Credentials>(
+      std::move(key),
+      crypto::U128FromBytes(BytesView(sign_pub.data(), sign_pub.size())));
+}
+
 TrainingServer::TrainingServer(ServerConfig config)
     : config_(std::move(config)),
       attestation_(config_.seed ^ 0xa77e57),
@@ -86,37 +95,34 @@ bool TrainingServer::HandleKeyProvision(const std::string& participant_id,
     const auto payload =
         state.reader->Unprotect(record, BytesOf(participant_id));
     if (!payload.has_value()) return false;
-    // Bare 16/32 bytes = legacy data-key-only provisioning; otherwise
-    // a length-prefixed (data key, signing public key) pair.
-    Bytes key;
-    crypto::U128 sign_pub = 0;
-    if (payload->size() == 16 || payload->size() == 32) {
-      key = *payload;
-    } else {
-      try {
-        ByteReader reader(BytesView(payload->data(), payload->size()));
-        key = reader.ReadBytes();
-        const Bytes sign_pub_bytes = reader.ReadBytes();
-        CALTRAIN_REQUIRE(reader.AtEnd(), "trailing provisioning bytes");
-        sign_pub = crypto::U128FromBytes(
-            BytesView(sign_pub_bytes.data(), sign_pub_bytes.size()));
-      } catch (const Error&) {
-        return false;
-      }
-      if (key.size() != 16 && key.size() != 32) return false;
-      if (sign_pub < 2 || sign_pub >= crypto::GroupPrime()) return false;
+    // The one payload: the (data key, signing public key) pair.
+    std::shared_ptr<const Credentials> creds;
+    try {
+      ByteReader reader(BytesView(payload->data(), payload->size()));
+      creds = Credentials::Read(reader);
+      CALTRAIN_REQUIRE(reader.AtEnd(), "trailing provisioning bytes");
+    } catch (const Error&) {
+      return false;
     }
     // Publish a fresh immutable snapshot; readers holding the old one
     // (e.g. ingest workers mid-batch) keep it alive via shared_ptr.
-    auto creds = std::make_shared<const Credentials>(key, sign_pub);
     {
       util::WriterLock lock(participants_mu_);
       state.creds = std::move(creds);
     }
     directory_version_.fetch_add(1, std::memory_order_acq_rel);
-    CALTRAIN_LOG(kInfo) << "provisioned data key for " << participant_id;
+    CALTRAIN_LOG(kInfo) << "provisioned keys for " << participant_id;
     return true;
   });
+}
+
+data::VerifiedRecord TrainingServer::OpenStored(
+    const data::EncryptedRecord& record) const {
+  const auto creds = CredentialsOf(record.participant_id);
+  CALTRAIN_CHECK(creds != nullptr, "record from deprovisioned source");
+  auto opened = data::OpenRecord(record, creds->cipher);
+  CALTRAIN_CHECK(opened.has_value(), "stored record failed re-authentication");
+  return std::move(*opened);
 }
 
 bool TrainingServer::IsProvisioned(const std::string& participant_id) const {
@@ -148,16 +154,18 @@ void TrainingServer::RestoreDirectory(BytesView blob, std::uint64_t version) {
     CALTRAIN_REQUIRE(state.creds == nullptr,
                      "RestoreDirectory requires an unprovisioned server");
   }
+  // Parse every entry before installing any: a bad blob restores none.
   ByteReader reader(blob);
-  const std::uint32_t count = reader.ReadU32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string id = reader.ReadString();
-    Bytes key = reader.ReadBytes();
-    const crypto::U128 sign_pub = crypto::U128FromBytes(reader.ReadBytes());
-    participants_[id].creds =
-        std::make_shared<const Credentials>(std::move(key), sign_pub);
+  std::vector<std::pair<std::string, std::shared_ptr<const Credentials>>>
+      entries;
+  for (std::uint32_t i = 0, count = reader.ReadU32(); i < count; ++i) {
+    std::string id = reader.ReadString();
+    entries.emplace_back(std::move(id), Credentials::Read(reader));
   }
   CALTRAIN_REQUIRE(reader.AtEnd(), "trailing directory snapshot bytes");
+  for (auto& [id, creds] : entries) {
+    participants_[id].creds = std::move(creds);
+  }
   directory_version_.store(version, std::memory_order_release);
 }
 
@@ -188,47 +196,38 @@ std::vector<char> TrainingServer::AuthenticateRecords(
     // paying the ~8k-cycle ECALL cost per record.
     const enclave::TransitionGuard transition(*training_enclave_);
 
-    // Stage 1: resolve credentials and collect the batch's signature
-    // checks.  Records from signing participants must carry a valid
-    // signature over their wire bytes; one aggregated SchnorrVerifyBatch
+    // Stage 1: resolve credentials and check every candidate's upload
+    // signature over its wire bytes; one aggregated SchnorrVerifyBatch
     // replaces a full verification per record.
-    std::vector<std::size_t> candidate;  // records with credentials
+    std::vector<std::size_t> candidate;  // credentialed, 32-byte signature
     // Parallel to candidate; shared_ptr copies keep each snapshot alive
     // across the batch even if the participant re-provisions mid-flight.
     std::vector<std::shared_ptr<const Credentials>> cred_of;
-    std::vector<Bytes> signed_bytes;          // keeps messages alive
-    std::vector<crypto::SchnorrBatchItem> sig_items;
-    std::vector<std::size_t> sig_record;  // candidate index per sig item
+    std::vector<Bytes> signed_bytes;  // reserved: item views stay valid
+    signed_bytes.reserve(last - first);
+    std::vector<crypto::SchnorrBatchItem> sig_items;  // 1:1 with candidate
     for (std::size_t i = first; i < last; ++i) {
       if (creds_id == nullptr || records[i].participant_id != *creds_id) {
         creds = CredentialsOf(records[i].participant_id);
         creds_id = &records[i].participant_id;
       }
-      if (creds == nullptr) continue;  // unregistered source
-      if (creds->sign_pub != 0) {
-        if (records[i].signature.size() != 32) continue;  // missing/mangled
-        signed_bytes.push_back(records[i].SignedPortion());
-        sig_record.push_back(candidate.size());
-      }
-      candidate.push_back(i);
-      cred_of.push_back(creds);
-    }
-    // signed_bytes stops reallocating here, so views into it are stable.
-    std::vector<char> sig_ok(candidate.size(), 1);
-    for (std::size_t k = 0; k < sig_record.size(); ++k) {
-      const std::size_t i = candidate[sig_record[k]];
+      if (creds == nullptr) continue;                   // unregistered source
+      if (records[i].signature.size() != 32) continue;  // missing/mangled
+      const Bytes& message = signed_bytes.emplace_back(
+          records[i].SignedPortion());
       crypto::SchnorrBatchItem item;
-      item.public_value = cred_of[sig_record[k]]->sign_pub;
-      item.message = BytesView(signed_bytes[k].data(), signed_bytes[k].size());
+      item.public_value = creds->sign_pub;
+      item.message = BytesView(message.data(), message.size());
       item.signature = crypto::DeserializeSignature(
           BytesView(records[i].signature.data(), records[i].signature.size()));
       sig_items.push_back(item);
+      candidate.push_back(i);
+      cred_of.push_back(creds);
     }
-    if (!sig_items.empty()) {
-      for (const std::size_t bad : crypto::SchnorrVerifyBatch(
-               std::span<const crypto::SchnorrBatchItem>(sig_items))) {
-        sig_ok[sig_record[bad]] = 0;
-      }
+    std::vector<char> sig_ok(candidate.size(), 1);
+    for (const std::size_t bad : crypto::SchnorrVerifyBatch(
+             std::span<const crypto::SchnorrBatchItem>(sig_items))) {
+      sig_ok[bad] = 0;
     }
 
     // Stage 2: GCM-open the signature survivors in one batch (shared
@@ -323,14 +322,9 @@ TrainReport TrainingServer::Train(const nn::NetworkSpec& spec,
         // enclosing Train holds records_mu_ for the whole pass.
         records_mu_.AssertHeld();
         for (std::size_t i = 0; i < count; ++i) {
-          const data::EncryptedRecord& record = records_[order[first + i]];
-          const auto creds = CredentialsOf(record.participant_id);
-          CALTRAIN_CHECK(creds != nullptr,
-                         "record from deprovisioned source");
-          auto verified = data::OpenRecord(record, creds->cipher);
-          CALTRAIN_CHECK(verified.has_value(),
-                         "stored record failed re-authentication");
-          nn::Image image = std::move(verified->image);
+          data::VerifiedRecord verified =
+              OpenStored(records_[order[first + i]]);
+          nn::Image image = std::move(verified.image);
           if (options.augment) {
             image = nn::Augment(image, options.augment_options, rng);
           }
@@ -339,7 +333,7 @@ TrainReport TrainingServer::Train(const nn::NetworkSpec& spec,
           }
           std::copy(image.pixels.begin(), image.pixels.end(),
                     batch.Sample(static_cast<int>(i)));
-          labels[i] = verified->label;
+          labels[i] = verified.label;
         }
       });
       loss_sum += trainer.TrainBatch(batch, labels, options.sgd, rng);
@@ -352,10 +346,10 @@ TrainReport TrainingServer::Train(const nn::NetworkSpec& spec,
         static_cast<float>(loss_sum / std::max<std::size_t>(1, batches));
     stats.seconds = timer.ElapsedSeconds();
     if (options.test_images != nullptr && options.test_labels != nullptr) {
-      stats.top1 = nn::EvaluateTopK(*model_, *options.test_images,
-                                    *options.test_labels, 1);
-      stats.top2 = nn::EvaluateTopK(*model_, *options.test_images,
-                                    *options.test_labels, 2);
+      const nn::Accuracy accuracy = nn::EvaluateAccuracy(
+          *model_, *options.test_images, *options.test_labels);
+      stats.top1 = accuracy.top1;
+      stats.top2 = accuracy.top2;
     }
     CALTRAIN_LOG(kInfo) << "[server] epoch " << epoch << " loss "
                         << stats.mean_loss << " top1 " << stats.top1
@@ -409,12 +403,7 @@ linkage::LinkageDatabase TrainingServer::FingerprintAll(
       // Lambda-inherited capability: FingerprintAll holds records_mu_.
       records_mu_.AssertHeld();
       fingerprint_enclave_->epc().Touch(model_region);
-      const auto creds = CredentialsOf(records_[i].participant_id);
-      CALTRAIN_CHECK(creds != nullptr, "record from deprovisioned source");
-      auto opened = data::OpenRecord(records_[i], creds->cipher);
-      CALTRAIN_CHECK(opened.has_value(),
-                     "stored record failed re-authentication");
-      verified[i] = std::move(*opened);
+      verified[i] = OpenStored(records_[i]);
     });
   }
   // Phases 2+3 stay inside the fingerprinting enclave — the plaintext

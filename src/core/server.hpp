@@ -4,10 +4,10 @@
 // per-participant state.  The pipeline:
 //
 //   1. Provisioning — participants attest the training enclave over the
-//      secure channel and provision their symmetric data keys.
-//   2. Upload — participants submit AES-GCM-encrypted records; the
-//      enclave authenticates each record with the provisioned key and
-//      discards failures (unregistered sources / tampering).
+//      secure channel and provision their data and signing keys.
+//   2. Upload — participants submit signed, AES-GCM-encrypted records;
+//      the enclave checks each signature and tag against the provisioned
+//      keys and discards failures (unregistered sources / tampering).
 //   3. Training — encrypted records are shuffled into mini-batches and
 //      decrypted/augmented/trained *inside* the enclave, with the
 //      FrontNet/BackNet split of PartitionedTrainer.  After each epoch
@@ -101,8 +101,8 @@ class TrainingServer {
   [[nodiscard]] bool HandleClientFinished(const std::string& participant_id,
                                           BytesView client_finished);
   /// The first record on the established channel is the participant's
-  /// 32-byte symmetric data key.  Returns false (and provisions nothing)
-  /// on any channel failure.
+  /// length-prefixed (data key, signing public key) pair.  Returns false
+  /// (and provisions nothing) on any channel failure or other payload.
   [[nodiscard]] bool HandleKeyProvision(const std::string& participant_id,
                                         BytesView record);
 
@@ -126,7 +126,8 @@ class TrainingServer {
 
   /// Rebuilds the participant directory from SerializeDirectory output
   /// and pins the version counter.  Recovery-only: requires an empty
-  /// directory (no provisioned participants yet).
+  /// directory (no provisioned participants yet).  An entry failing the
+  /// provisioning checks throws Error(kInvalidArgument), restoring none.
   void RestoreDirectory(BytesView blob, std::uint64_t version);
 
   /// Installs a model snapshot (Network::SerializeModel bytes) and the
@@ -147,10 +148,11 @@ class TrainingServer {
   /// concurrent upload sessions.
   std::size_t UploadRecords(const std::vector<data::EncryptedRecord>& records);
 
-  /// Batched authentication core: verifies each record against its
-  /// provisioned key, `batch_size` records per enclave transition (one
-  /// enclave::TransitionGuard per batch).  Returns per-record accept
-  /// flags; commits nothing.  Thread-safe for concurrent callers.
+  /// Batched authentication core: verifies each record's signature and
+  /// GCM tag against its source's provisioned keys, `batch_size` records
+  /// per enclave transition (one enclave::TransitionGuard per batch).
+  /// Returns per-record accept flags; commits nothing.  Thread-safe for
+  /// concurrent callers.
   [[nodiscard]] std::vector<char> AuthenticateRecords(
       const std::vector<data::EncryptedRecord>& records,
       std::size_t batch_size);
@@ -214,14 +216,20 @@ class TrainingServer {
   /// participant re-provisions (which swaps in a *new* Credentials
   /// object instead of mutating this one).
   struct Credentials {
-    explicit Credentials(Bytes key, crypto::U128 signing_pub = 0)
-        : data_key(std::move(key)), cipher(data_key), sign_pub(signing_pub) {}
+    /// Throws Error(kInvalidArgument) unless the key is 16 or 32 bytes
+    /// (the cipher's check) and 2 <= signing_pub < p.
+    Credentials(Bytes key, crypto::U128 signing_pub)
+        : data_key(std::move(key)), cipher(data_key), sign_pub(signing_pub) {
+      CALTRAIN_REQUIRE(sign_pub >= 2 && sign_pub < crypto::GroupPrime(),
+                       "signing public key out of range");
+    }
+    /// Reads the (data key, signing public key) pair of a provisioning
+    /// payload or a directory entry.
+    [[nodiscard]] static std::shared_ptr<const Credentials> Read(
+        ByteReader& reader);
     Bytes data_key;         ///< provisioned symmetric key (enclave-held)
     crypto::AesGcm cipher;  ///< cached key schedule
-    /// Record-signing public key; 0 when the participant provisioned
-    /// only a data key, in which case upload signatures are not
-    /// required and authentication rests on the GCM tag alone.
-    crypto::U128 sign_pub = 0;
+    crypto::U128 sign_pub;  ///< record-signing public key
   };
 
   struct ParticipantState {
@@ -234,6 +242,9 @@ class TrainingServer {
   ParticipantState& StateOf(const std::string& participant_id);
   [[nodiscard]] std::shared_ptr<const Credentials> CredentialsOf(
       const std::string& participant_id) const;
+  /// Re-opens an accepted record; a failure is an internal error.
+  [[nodiscard]] data::VerifiedRecord OpenStored(
+      const data::EncryptedRecord& record) const;
 
   ServerConfig config_;
   enclave::AttestationService attestation_;

@@ -85,10 +85,18 @@ std::pair<nn::Image, int> DeserializeTrainingInstance(BytesView blob) {
   shape.h = static_cast<int>(reader.ReadU32());
   shape.c = static_cast<int>(reader.ReadU32());
   const int label = static_cast<int>(reader.ReadU32());
-  nn::Image image(shape);
+  nn::Image image;
   image.pixels = reader.ReadF32Vector();
-  CALTRAIN_REQUIRE(image.pixels.size() == shape.Flat() && reader.AtEnd(),
+  // The declared shape is untrusted: positive dimensions with w*h
+  // within the pixel count keep Flat() from overflowing.
+  const std::size_t n = image.pixels.size();
+  CALTRAIN_REQUIRE(reader.AtEnd() && shape.w > 0 && shape.h > 0 &&
+                       shape.c > 0 &&
+                       static_cast<std::size_t>(shape.w) *
+                               static_cast<std::size_t>(shape.h) <= n &&
+                       shape.Flat() == n,
                    "malformed training instance blob");
+  image.shape = shape;
   return {std::move(image), label};
 }
 
@@ -98,7 +106,7 @@ crypto::Sha256Digest HashTrainingInstance(const nn::Image& image, int label) {
 
 DataPackager::DataPackager(std::string participant_id, BytesView key,
                            std::uint64_t nonce_seed,
-                           std::optional<crypto::SchnorrKeyPair> signing_key)
+                           const crypto::SchnorrKeyPair& signing_key)
     : participant_id_(std::move(participant_id)),
       cipher_(key),
       nonce_drbg_(SeedBytes(nonce_seed), BytesOf(participant_id_)),
@@ -114,12 +122,9 @@ EncryptedRecord DataPackager::Pack(const nn::Image& image, int label) {
       cipher_.Seal(record.iv, RecordAad(participant_id_, label), plaintext);
   record.ciphertext = sealed.ciphertext;
   record.tag.assign(sealed.tag.begin(), sealed.tag.end());
-  if (signing_key_.has_value()) {
-    const Bytes covered = record.SignedPortion();
-    record.signature = crypto::SerializeSignature(crypto::SchnorrSign(
-        *signing_key_, BytesView(covered.data(), covered.size()),
-        nonce_drbg_));
-  }
+  const Bytes covered = record.SignedPortion();
+  record.signature = crypto::SerializeSignature(crypto::SchnorrSign(
+      signing_key_, BytesView(covered.data(), covered.size()), nonce_drbg_));
   return record;
 }
 
@@ -134,37 +139,11 @@ std::vector<EncryptedRecord> DataPackager::PackAll(
 }
 
 std::optional<VerifiedRecord> OpenRecord(const EncryptedRecord& record,
-                                         BytesView key) {
-  return OpenRecord(record, crypto::AesGcm(key));
-}
-
-std::optional<VerifiedRecord> OpenRecord(const EncryptedRecord& record,
                                          const crypto::AesGcm& cipher) {
-  if (record.iv.size() != crypto::kGcmIvSize ||
-      record.tag.size() != crypto::kGcmTagSize) {
-    return std::nullopt;
-  }
-  std::array<std::uint8_t, crypto::kGcmTagSize> tag{};
-  std::copy(record.tag.begin(), record.tag.end(), tag.begin());
-  const auto plaintext =
-      cipher.Open(record.iv, RecordAad(record.participant_id, record.label),
-                  record.ciphertext, tag);
-  if (!plaintext.has_value()) return std::nullopt;
-
-  try {
-    auto [image, label] = DeserializeTrainingInstance(*plaintext);
-    if (label != record.label) return std::nullopt;  // inner/outer mismatch
-    VerifiedRecord verified;
-    // The plaintext IS the canonical instance serialization, so hashing
-    // it directly equals HashTrainingInstance without re-serializing.
-    verified.content_hash = crypto::Sha256Hash(*plaintext);
-    verified.image = std::move(image);
-    verified.label = label;
-    verified.participant_id = record.participant_id;
-    return verified;
-  } catch (const Error&) {
-    return std::nullopt;
-  }
+  // A batch of one: the checks and the content hash live in one place.
+  const EncryptedRecord* const records[] = {&record};
+  const crypto::AesGcm* const ciphers[] = {&cipher};
+  return std::move(OpenRecordsBatch(records, ciphers).front());
 }
 
 std::vector<std::optional<VerifiedRecord>> OpenRecordsBatch(
@@ -202,6 +181,8 @@ std::vector<std::optional<VerifiedRecord>> OpenRecordsBatch(
       verified.participant_id = record.participant_id;
       results[i] = std::move(verified);
       plaintexts[i] = std::move(*plaintext);
+      // The plaintext IS the canonical instance serialization, so its
+      // hash equals HashTrainingInstance without re-serializing.
       to_hash.emplace_back(plaintexts[i].data(), plaintexts[i].size());
       hash_index.push_back(i);
     } catch (const Error&) {

@@ -1,13 +1,14 @@
 // Participant-side data packaging (paper Sec. IV-A).
 //
 // Each participant locally seals every training record with its own
-// symmetric key using AES-256-GCM.  Per the threat model, the class
-// label travels in the clear (participants "release the training data
-// labels attached to their corresponding (encrypted) training
-// instances") but is covered by the authentication tag via the AAD, so
-// a label cannot be flipped in transit.  The enclave verifies the tag
-// with the provisioned key — records from unregistered sources or
-// tampered channels fail authentication and are discarded.
+// symmetric key using AES-256-GCM and signs it with its own Schnorr
+// key.  Per the threat model, the class label travels in the clear
+// (participants "release the training data labels attached to their
+// corresponding (encrypted) training instances") but is covered by the
+// authentication tag via the AAD, so a label cannot be flipped in
+// transit.  The enclave verifies the signature and the tag with the
+// provisioned keys — records from unregistered sources or tampered
+// channels fail authentication and are discarded.
 #pragma once
 
 #include <optional>
@@ -30,10 +31,9 @@ struct EncryptedRecord {
   Bytes iv;                    ///< 12-byte GCM nonce
   Bytes ciphertext;            ///< encrypted serialized image
   Bytes tag;                   ///< 16-byte GCM tag
-  /// Optional 32-byte Schnorr signature over SignedPortion(), made with
-  /// the participant's provisioned signing key.  Empty for participants
-  /// that provision only a data key (legacy flow); the server then
-  /// authenticates via the GCM tag alone.
+  /// 32-byte Schnorr signature over SignedPortion(), made with the
+  /// participant's provisioned signing key.  The server rejects a
+  /// record whose signature is missing, mis-sized or does not verify.
   Bytes signature;
 
   /// The bytes the upload signature covers: every field except the
@@ -68,16 +68,15 @@ struct VerifiedRecord {
 [[nodiscard]] crypto::Sha256Digest HashTrainingInstance(const nn::Image& image,
                                                         int label);
 
-/// Participant-side packer: one per participant, bound to its key.
-/// With a signing key attached, every packed record also carries a
-/// Schnorr signature over its wire bytes, which the server verifies in
+/// Participant-side packer: one per participant, bound to its data
+/// key and signing key.  Every packed record carries a Schnorr
+/// signature over its wire bytes, which the server verifies in
 /// aggregated batches (crypto::SchnorrVerifyBatch) on the ingest path.
 class DataPackager {
  public:
   DataPackager(std::string participant_id, BytesView key,
                std::uint64_t nonce_seed,
-               std::optional<crypto::SchnorrKeyPair> signing_key =
-                   std::nullopt);
+               const crypto::SchnorrKeyPair& signing_key);
 
   [[nodiscard]] EncryptedRecord Pack(const nn::Image& image, int label);
 
@@ -93,19 +92,14 @@ class DataPackager {
   std::string participant_id_;
   crypto::AesGcm cipher_;
   crypto::HmacDrbg nonce_drbg_;
-  std::optional<crypto::SchnorrKeyPair> signing_key_;
+  crypto::SchnorrKeyPair signing_key_;
 };
 
 /// Enclave-side opener: verifies authenticity/integrity with the
-/// provisioned key and decrypts.  Returns nullopt when the record fails
-/// authentication (forged source, bit-flips, flipped label) — the
-/// caller must discard it (paper: "injected training data from
-/// unregistered training participants will be discarded").
-[[nodiscard]] std::optional<VerifiedRecord> OpenRecord(
-    const EncryptedRecord& record, BytesView key);
-
-/// Same, with a caller-held cipher (avoids re-deriving the AES key
-/// schedule and GHASH tables per record on hot paths).
+/// provisioned key's cipher and decrypts.  Returns nullopt when the
+/// record fails authentication (forged source, bit-flips, flipped
+/// label) — the caller must discard it (paper: "injected training data
+/// from unregistered training participants will be discarded").
 [[nodiscard]] std::optional<VerifiedRecord> OpenRecord(
     const EncryptedRecord& record, const crypto::AesGcm& cipher);
 

@@ -52,10 +52,7 @@ void Client::EnsureConnected() {
   if (!fd.valid()) ThrowTransport("socket");
 
   timeval tv{};
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          options_.io_timeout)
-          .count();
+  const auto us = std::chrono::microseconds(kIoTimeout).count();
   tv.tv_sec = us / 1'000'000;
   tv.tv_usec = us % 1'000'000;
   (void)::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));

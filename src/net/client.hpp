@@ -47,9 +47,6 @@ struct ClientOptions {
   /// IPv4 dotted-quad only (no resolver dependency).
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// Per-send/receive socket timeout; an expiry is a transient
-  /// transport fault (reconnect + retry).
-  std::chrono::milliseconds io_timeout{30000};
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Reconnect/resubmit schedule for transient transport faults.
   util::BackoffPolicy backoff;
@@ -125,6 +122,9 @@ class Client final : public core::ProvisionTransport {
   [[nodiscard]] serve::Result<T> Call(const Bytes& frame, MsgType expected,
                                       DecodeFn decode);
 
+  /// Per-send/receive socket timeout; an expiry is a transient
+  /// transport fault (reconnect + retry).
+  static constexpr std::chrono::milliseconds kIoTimeout{30000};
   ClientOptions options_;
   util::UniqueFd fd_;
   FrameDecoder decoder_{kDefaultMaxFrameBytes};

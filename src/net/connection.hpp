@@ -57,7 +57,7 @@ class Connection {
     return !write_queue_.empty();
   }
   /// Unflushed response bytes — the slowloris guard compares this
-  /// against ServerOptions::max_write_backlog.
+  /// against Server::kMaxWriteBacklog.
   [[nodiscard]] std::size_t write_backlog() const noexcept {
     return backlog_bytes_;
   }

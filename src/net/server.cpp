@@ -58,7 +58,7 @@ void Server::Start() {
     ThrowErrno("bind " + options_.bind_address + ":" +
                std::to_string(options_.port));
   }
-  if (::listen(listener.get(), options_.listen_backlog) != 0) {
+  if (::listen(listener.get(), kListenBacklog) != 0) {
     ThrowErrno("listen");
   }
   sockaddr_in bound{};
@@ -127,7 +127,7 @@ void Server::Loop() {
     if (stop_requested_.load(std::memory_order_acquire) && !draining_) {
       draining_ = true;
       drain_deadline =
-          std::chrono::steady_clock::now() + options_.drain_timeout;
+          std::chrono::steady_clock::now() + kDrainTimeout;
       if (listener_open) {
         (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, listen_fd_.get(),
                           nullptr);
@@ -692,7 +692,7 @@ bool Server::SendError(Connection& conn, serve::ServeError error,
 
 bool Server::QueueResponse(Connection& conn, Bytes frame) {
   conn.QueueFrame(std::move(frame));
-  if (conn.write_backlog() > options_.max_write_backlog) {
+  if (conn.write_backlog() > kMaxWriteBacklog) {
     // Slowloris guard: the peer is not reading its responses.
     CALTRAIN_LOG(kWarn) << "[net] connection " << conn.id()
                         << " exceeded its write backlog; closing";

@@ -19,7 +19,7 @@
 //     event-loop-shaped equivalent of a waiting push, so the loop never
 //     blocks and the client never sees the saturation.
 //   * A peer that stops reading its responses (slowloris) is cut off
-//     once its write backlog passes max_write_backlog.
+//     once its write backlog passes kMaxWriteBacklog (64 MiB).
 //
 // Uploads are idempotent: every SubmitUpload carries a client-assigned
 // per-session sequence number; the server remembers the last completed
@@ -30,7 +30,7 @@
 //
 // Shutdown drains in-flight tickets: Stop() stops accepting and
 // decoding, waits for every dispatched request's completion, flushes
-// responses (bounded by drain_timeout), then tears the loop down.
+// responses (bounded by kDrainTimeout, 5 s), then tears the loop down.
 #pragma once
 
 #include <atomic>
@@ -56,13 +56,7 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back with port() after Start.
   std::uint16_t port = 0;
-  int listen_backlog = 128;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Unflushed-response cap per connection (slowloris guard).
-  std::size_t max_write_backlog = 64ULL << 20;
-  /// After every in-flight request completed, how long Stop() keeps
-  /// flushing buffered responses to slow readers before cutting them.
-  std::chrono::milliseconds drain_timeout{5000};
 };
 
 class Server {
@@ -186,6 +180,12 @@ class Server {
 
   /// How often parked uploads are resubmitted while the queue is full.
   static constexpr std::chrono::milliseconds kParkedRetryInterval{2};
+  static constexpr int kListenBacklog = 128;
+  /// Unflushed-response cap per connection (slowloris guard).
+  static constexpr std::size_t kMaxWriteBacklog = 64ULL << 20;
+  /// After every in-flight request completed, how long Stop() keeps
+  /// flushing buffered responses to slow readers before cutting them.
+  static constexpr std::chrono::milliseconds kDrainTimeout{5000};
   static constexpr std::uint64_t kListenTag = 0;
   static constexpr std::uint64_t kWakeTag = 1;
   static constexpr std::uint64_t kTimerTag = 2;

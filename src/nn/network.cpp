@@ -266,10 +266,16 @@ void Network::ReleaseTrainingWorkspaces() noexcept { shard_ws_.clear(); }
 
 std::vector<std::vector<float>> Network::Predict(const Batch& input,
                                                  KernelProfile profile) const {
+  LayerWorkspace ws(*this);
+  return Predict(input, profile, ws);
+}
+
+std::vector<std::vector<float>> Network::Predict(const Batch& input,
+                                                 KernelProfile profile,
+                                                 LayerWorkspace& ws) const {
   LayerContext ctx;
   ctx.profile = profile;
   const int out_layer = SoftmaxIndex() >= 0 ? SoftmaxIndex() + 1 : NumLayers();
-  LayerWorkspace ws(*this);
   ForwardRange(&input, 0, out_layer, ctx, ws);
   const Batch& out = ws.activations[static_cast<std::size_t>(out_layer - 1)];
   std::vector<std::vector<float>> result(static_cast<std::size_t>(input.n));

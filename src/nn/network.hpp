@@ -118,6 +118,11 @@ class Network {
   [[nodiscard]] std::vector<std::vector<float>> Predict(
       const Batch& input, KernelProfile profile = KernelProfile::kFast) const;
 
+  /// Same, forwarding through the caller's `ws` (chunked evaluation
+  /// loops hold one workspace).  Bit-identical to the overload above.
+  [[nodiscard]] std::vector<std::vector<float>> Predict(
+      const Batch& input, KernelProfile profile, LayerWorkspace& ws) const;
+
   /// Probabilities for a single image.
   [[nodiscard]] std::vector<float> PredictOne(
       const Image& image, KernelProfile profile = KernelProfile::kFast) const;

@@ -8,26 +8,31 @@
 
 namespace caltrain::nn {
 
-double EvaluateTopK(const Network& net, const std::vector<Image>& images,
-                    const std::vector<int>& labels, std::size_t k,
-                    KernelProfile profile) {
+Accuracy EvaluateAccuracy(const Network& net,
+                          const std::vector<Image>& images,
+                          const std::vector<int>& labels,
+                          KernelProfile profile) {
   CALTRAIN_REQUIRE(images.size() == labels.size(),
                    "image/label count mismatch");
-  if (images.empty()) return 0.0;
+  if (images.empty()) return {};
   constexpr std::size_t kEvalBatch = 32;
-  std::size_t correct = 0;
+  std::size_t top1 = 0;
+  std::size_t top2 = 0;
   std::vector<std::size_t> order(images.size());
   std::iota(order.begin(), order.end(), 0);
+  LayerWorkspace ws(net);
   for (std::size_t first = 0; first < images.size(); first += kEvalBatch) {
     const std::size_t count = std::min(kEvalBatch, images.size() - first);
     const Batch batch = PackBatch(images, order, first, count);
-    const auto probs = net.Predict(batch, profile);
+    const auto probs = net.Predict(batch, profile, ws);
     for (std::size_t i = 0; i < count; ++i) {
-      const int label = labels[first + i];
-      if (InTopK(probs[i], static_cast<std::size_t>(label), k)) ++correct;
+      const auto label = static_cast<std::size_t>(labels[first + i]);
+      if (InTopK(probs[i], label, 1)) ++top1;
+      if (InTopK(probs[i], label, 2)) ++top2;
     }
   }
-  return static_cast<double>(correct) / static_cast<double>(images.size());
+  const auto total = static_cast<double>(images.size());
+  return {static_cast<double>(top1) / total, static_cast<double>(top2) / total};
 }
 
 Batch PackBatch(const std::vector<Image>& images,
@@ -98,10 +103,10 @@ std::vector<EpochStats> TrainNetwork(Network& net,
     stats.mean_loss = static_cast<float>(loss_sum / std::max<std::size_t>(1, batches));
     stats.seconds = timer.ElapsedSeconds();
     if (!test_images.empty()) {
-      stats.top1 = EvaluateTopK(net, test_images, test_labels, 1,
-                                options.profile);
-      stats.top2 = EvaluateTopK(net, test_images, test_labels, 2,
-                                options.profile);
+      const Accuracy accuracy =
+          EvaluateAccuracy(net, test_images, test_labels, options.profile);
+      stats.top1 = accuracy.top1;
+      stats.top2 = accuracy.top2;
     }
     CALTRAIN_LOG(kInfo) << "epoch " << epoch << " loss " << stats.mean_loss
                         << " top1 " << stats.top1 << " top2 " << stats.top2

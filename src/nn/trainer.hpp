@@ -35,12 +35,18 @@ struct EpochStats {
 /// captures these for the KL re-assessment) and that epoch's stats.
 using EpochCallback = std::function<void(const Network&, const EpochStats&)>;
 
-/// Top-k accuracy of `net` on a labeled set.
-[[nodiscard]] double EvaluateTopK(const Network& net,
-                                  const std::vector<Image>& images,
-                                  const std::vector<int>& labels,
-                                  std::size_t k,
-                                  KernelProfile profile = KernelProfile::kFast);
+/// Top-1 and top-2 accuracy in [0, 1], the ranks the trainers report.
+struct Accuracy {
+  double top1 = 0.0;
+  double top2 = 0.0;
+};
+
+/// Accuracy of `net` on a labeled set from one forward pass (32-image
+/// chunks through one held workspace).
+[[nodiscard]] Accuracy EvaluateAccuracy(
+    const Network& net, const std::vector<Image>& images,
+    const std::vector<int>& labels,
+    KernelProfile profile = KernelProfile::kFast);
 
 /// Packs images[first, first+count) into a batch.
 [[nodiscard]] Batch PackBatch(const std::vector<Image>& images,

@@ -108,7 +108,7 @@ TEST(TrojanEndToEnd, BackdoorInstallsAndBenignAccuracySurvives) {
   (void)nn::TrainNetwork(net, train.images, train.labels, test.images,
                          test.labels, clean_options);
   const double clean_top1 =
-      nn::EvaluateTopK(net, test.images, test.labels, 1);
+      nn::EvaluateAccuracy(net, test.images, test.labels).top1;
   ASSERT_GE(clean_top1, 0.8) << "clean model failed to learn";
 
   // Attacker: donors from identities != 0, trigger-stamped, labeled 0.

@@ -9,6 +9,7 @@
 #include "core/query.hpp"
 #include "core/server.hpp"
 #include "data/synthetic_cifar.hpp"
+#include "forged_mix.hpp"
 #include "nn/presets.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
@@ -65,7 +66,7 @@ TEST(PartitionedTrainerTest, LearnsWithSplit) {
       (void)trainer.TrainBatch(batch, labels, sgd, train_rng);
     }
   }
-  const double top1 = nn::EvaluateTopK(net, test.images, test.labels, 1);
+  const double top1 = nn::EvaluateAccuracy(net, test.images, test.labels).top1;
   EXPECT_GE(top1, 0.9);
 
   // Boundary traffic and transitions were accounted.
@@ -175,7 +176,8 @@ TEST_F(ServerPipelineTest, FullPipeline) {
   EXPECT_EQ(server_.accepted_records(), 80U);
 
   // Forged upload from an unregistered source is discarded.
-  data::DataPackager mallory("mallory", Bytes(32, 0x66), 999);
+  data::DataPackager mallory("mallory", Bytes(32, 0x66), 999,
+                             forged_mix::ThrowawaySigningKey(999));
   nn::Image evil(nn::Shape{28, 28, 3});
   EXPECT_EQ(server_.UploadRecords({mallory.Pack(evil, 0)}), 0U);
   EXPECT_EQ(server_.rejected_records(), 1U);
@@ -448,6 +450,101 @@ TEST(ServerEdgeTest, KeyProvisionBeforeHandshakeRejected) {
   EXPECT_FALSE(server.HandleKeyProvision("ghost", BytesOf("junk")));
   EXPECT_FALSE(server.HandleClientFinished("ghost", BytesOf("junk")));
   EXPECT_FALSE(server.IsProvisioned("ghost"));
+}
+
+// ------------------------------------------------ one authentication path
+
+TEST(ServerAuthTest, OnlyTheCredentialsPairProvisions) {
+  // Over a real attested channel, a bare 32- or 16-byte data key (the
+  // retired data-key-only payload) and every malformed pair provision
+  // nothing; the well-formed (data key, signing key) pair does.
+  const Bytes key(32, 0x33);
+  Bytes trailing = forged_mix::CredentialsPayload(key, 12345);
+  trailing.push_back(0);
+  const std::vector<Bytes> rejected = {
+      Bytes(32, 0x11),
+      Bytes(16, 0x22),
+      forged_mix::CredentialsPayload(key, 0),
+      forged_mix::CredentialsPayload(key, 1),
+      forged_mix::CredentialsPayload(key, crypto::GroupPrime()),
+      forged_mix::CredentialsPayload(key, ~crypto::U128{0}),
+      forged_mix::CredentialsPayload(Bytes(24, 0x33), 12345),
+      trailing,
+  };
+  TrainingServer server;
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    EXPECT_FALSE(forged_mix::ProvisionPayload(server, "alice", rejected[i],
+                                              i + 1))
+        << "payload " << i;
+    EXPECT_FALSE(server.IsProvisioned("alice")) << "payload " << i;
+  }
+  EXPECT_EQ(server.directory_version(), 0U);
+
+  const forged_mix::HeldKeys alice = forged_mix::MakeHeldKeys("alice", 3);
+  EXPECT_TRUE(forged_mix::Provision(server, alice, 4));
+  EXPECT_TRUE(server.IsProvisioned("alice"));
+}
+
+TEST(ServerAuthTest, RestoreDirectoryRejectsInvalidSigningKey) {
+  // A directory entry must pass the provisioning checks: a signing key
+  // of 0 or >= p is corruption, and a bad entry restores nothing, not
+  // even the valid entries before it.
+  const auto blob = [](crypto::U128 second_pub) {
+    ByteWriter writer;
+    writer.WriteU32(2);
+    writer.WriteString("alice");
+    writer.WriteBytes(Bytes(32, 0x44));
+    writer.WriteBytes(crypto::U128ToBytes(12345));
+    writer.WriteString("bob");
+    writer.WriteBytes(Bytes(32, 0x55));
+    writer.WriteBytes(crypto::U128ToBytes(second_pub));
+    return writer.Take();
+  };
+  for (const crypto::U128 bad_pub :
+       {crypto::U128{0}, crypto::GroupPrime(), ~crypto::U128{0}}) {
+    TrainingServer server;
+    try {
+      server.RestoreDirectory(blob(bad_pub), 2);
+      FAIL() << "an invalid signing key must not restore";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
+    }
+    EXPECT_FALSE(server.IsProvisioned("alice"));
+    EXPECT_FALSE(server.IsProvisioned("bob"));
+  }
+  TrainingServer server;
+  server.RestoreDirectory(blob(67890), 2);
+  EXPECT_TRUE(server.IsProvisioned("alice"));
+  EXPECT_TRUE(server.IsProvisioned("bob"));
+  EXPECT_EQ(server.directory_version(), 2U);
+}
+
+TEST(ServerAuthTest, ForgedMixMatchesPerRecordOracle) {
+  // Seeded mixes of two participants' clean records and forgeries that
+  // are each bad in one way: every ingest entry point's accept flags
+  // equal the per-record oracle, and the tallies are exact.
+  TrainingServer server;
+  const forged_mix::HeldKeys tess = forged_mix::MakeHeldKeys("tess", 11);
+  const forged_mix::HeldKeys tom = forged_mix::MakeHeldKeys("tom", 12);
+  ASSERT_TRUE(forged_mix::Provision(server, tess, 13));
+  ASSERT_TRUE(forged_mix::Provision(server, tom, 14));
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const std::uint64_t seed : forged_mix::Seeds(48)) {
+    SCOPED_TRACE(forged_mix::ReplayHint(seed));
+    const forged_mix::Mix mix = forged_mix::MakeMix(tess, tom, seed);
+    const std::vector<char> oracle =
+        forged_mix::CheckedOracle(mix, {&tess, &tom});
+    for (const std::size_t batch : {1U, 7U, 32U}) {
+      EXPECT_EQ(server.AuthenticateRecords(mix.records, batch), oracle)
+          << "batch size " << batch;
+    }
+    EXPECT_EQ(server.UploadRecords(mix.records), mix.clean());
+    accepted += mix.clean();
+    rejected += mix.records.size() - mix.clean();
+    EXPECT_EQ(server.accepted_records(), accepted);
+    EXPECT_EQ(server.rejected_records(), rejected);
+  }
 }
 
 TEST(ServerEdgeTest, ZeroFrontLayersReleaseHasEmptyFrontNet) {

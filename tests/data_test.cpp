@@ -9,6 +9,7 @@
 #include "data/packaging.hpp"
 #include "data/synthetic_cifar.hpp"
 #include "data/synthetic_faces.hpp"
+#include "forged_mix.hpp"
 #include "nn/presets.hpp"
 #include "nn/trainer.hpp"
 #include "util/error.hpp"
@@ -180,14 +181,45 @@ TEST(PackagingTest, HashIsContentSensitive) {
   EXPECT_EQ(h1, HashTrainingInstance(img, 0));
 }
 
+TEST(PackagingTest, DeclaredShapeMustMatchPixels) {
+  // A decoded instance's shape is checked against its pixel count
+  // before anything is sized from it: a huge or non-positive declared
+  // shape is a malformed blob (kInvalidArgument), not an allocation.
+  const auto blob = [](std::uint32_t w, std::uint32_t h, std::uint32_t c,
+                       std::size_t pixels) {
+    ByteWriter writer;
+    writer.WriteU32(w);
+    writer.WriteU32(h);
+    writer.WriteU32(c);
+    writer.WriteU32(1);
+    writer.WriteF32Vector(std::vector<float>(pixels, 0.5F));
+    return writer.Take();
+  };
+  EXPECT_EQ(DeserializeTrainingInstance(blob(2, 3, 1, 6)).first.shape,
+            (nn::Shape{2, 3, 1}));
+  for (const Bytes& bad :
+       {blob(0x7fffffff, 0x7fffffff, 3, 6), blob(0xffffffff, 1, 1, 6),
+        blob(0, 3, 1, 0), blob(2, 3, 1, 5), blob(3, 2, 2, 6)}) {
+    try {
+      (void)DeserializeTrainingInstance(bad);
+      FAIL() << "a shape/pixel mismatch must not decode";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
+    }
+  }
+}
+
 class PackagingRoundTrip : public ::testing::Test {
  protected:
-  PackagingRoundTrip() : packager_("alice", key_, 33) {
+  PackagingRoundTrip() : packager_("alice", key_, 33, signing_key_) {
     img_ = nn::Image(nn::Shape{8, 8, 3});
     Rng rng(13);
     for (float& p : img_.pixels) p = rng.UniformFloat();
   }
   Bytes key_ = Bytes(32, 0x42);
+  crypto::AesGcm cipher_{key_};
+  crypto::SchnorrKeyPair signing_key_ =
+      forged_mix::MakeHeldKeys("alice", 33).signing_key;
   DataPackager packager_;
   nn::Image img_;
 };
@@ -196,7 +228,7 @@ TEST_F(PackagingRoundTrip, OpenSucceedsWithRightKey) {
   const EncryptedRecord record = packager_.Pack(img_, 5);
   EXPECT_EQ(record.participant_id, "alice");
   EXPECT_EQ(record.label, 5);
-  const auto opened = OpenRecord(record, key_);
+  const auto opened = OpenRecord(record, cipher_);
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(opened->image.pixels, img_.pixels);
   EXPECT_EQ(opened->label, 5);
@@ -204,28 +236,43 @@ TEST_F(PackagingRoundTrip, OpenSucceedsWithRightKey) {
   EXPECT_EQ(opened->content_hash, HashTrainingInstance(img_, 5));
 }
 
+TEST_F(PackagingRoundTrip, EveryRecordIsSigned) {
+  // The signature covers every wire field but itself.
+  EncryptedRecord record = packager_.Pack(img_, 5);
+  ASSERT_EQ(record.signature.size(), 32U);
+  const auto verifies = [this](const EncryptedRecord& r) {
+    const Bytes covered = r.SignedPortion();
+    return crypto::SchnorrVerify(signing_key_.public_value, covered,
+                                 crypto::DeserializeSignature(r.signature));
+  };
+  EXPECT_TRUE(verifies(record));
+  record.ciphertext[0] ^= 0x01;
+  EXPECT_FALSE(verifies(record));
+}
+
 TEST_F(PackagingRoundTrip, WrongKeyRejected) {
   const EncryptedRecord record = packager_.Pack(img_, 5);
-  EXPECT_FALSE(OpenRecord(record, Bytes(32, 0x43)).has_value());
+  const crypto::AesGcm wrong(Bytes(32, 0x43));
+  EXPECT_FALSE(OpenRecord(record, wrong).has_value());
 }
 
 TEST_F(PackagingRoundTrip, FlippedLabelRejected) {
   // Adversary flips the plaintext label in transit: AAD check fails.
   EncryptedRecord record = packager_.Pack(img_, 5);
   record.label = 0;
-  EXPECT_FALSE(OpenRecord(record, key_).has_value());
+  EXPECT_FALSE(OpenRecord(record, cipher_).has_value());
 }
 
 TEST_F(PackagingRoundTrip, ForgedSourceRejected) {
   EncryptedRecord record = packager_.Pack(img_, 5);
   record.participant_id = "mallory";
-  EXPECT_FALSE(OpenRecord(record, key_).has_value());
+  EXPECT_FALSE(OpenRecord(record, cipher_).has_value());
 }
 
 TEST_F(PackagingRoundTrip, TamperedCiphertextRejected) {
   EncryptedRecord record = packager_.Pack(img_, 5);
   record.ciphertext[10] ^= 0x01;
-  EXPECT_FALSE(OpenRecord(record, key_).has_value());
+  EXPECT_FALSE(OpenRecord(record, cipher_).has_value());
 }
 
 TEST_F(PackagingRoundTrip, UniqueNoncesPerRecord) {
@@ -244,7 +291,7 @@ TEST_F(PackagingRoundTrip, WireSerializationRoundTrip) {
   EXPECT_EQ(back.iv, record.iv);
   EXPECT_EQ(back.ciphertext, record.ciphertext);
   EXPECT_EQ(back.tag, record.tag);
-  EXPECT_TRUE(OpenRecord(back, key_).has_value());
+  EXPECT_TRUE(OpenRecord(back, cipher_).has_value());
 }
 
 TEST_F(PackagingRoundTrip, PackAllCoversDataset) {
@@ -254,7 +301,7 @@ TEST_F(PackagingRoundTrip, PackAllCoversDataset) {
   const auto records = packager_.PackAll(d);
   ASSERT_EQ(records.size(), 12U);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto opened = OpenRecord(records[i], key_);
+    const auto opened = OpenRecord(records[i], cipher_);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(opened->label, d.labels[i]);
   }

@@ -25,6 +25,7 @@
 #include "core/server.hpp"
 #include "data/packaging.hpp"
 #include "data/synthetic_cifar.hpp"
+#include "forged_mix.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
 #include "net/server.hpp"
@@ -238,7 +239,8 @@ TEST(NetCodecTest, MessageRoundTrips) {
     request.upload_seq = 3;
     Rng rng(11);
     data::SyntheticCifar gen;
-    data::DataPackager packager("alice", Bytes(32, 0x11), 77);
+    data::DataPackager packager("alice", Bytes(32, 0x11), 77,
+                                forged_mix::ThrowawaySigningKey(77));
     request.records.push_back(packager.Pack(gen.Sample(0, rng), 0));
     request.records.push_back(packager.Pack(gen.Sample(1, rng), 1));
     const Bytes payload = EncodeSubmitUpload(request);
@@ -952,7 +954,8 @@ TEST(NetDeterminismTest, LoopbackFlowMatchesInProcessAtEveryThreadCount) {
     (void)alice.ProvisionAndUpload(server, server.training_measurement());
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             forged_mix::ThrowawaySigningKey(301));
     (void)server.UploadRecords({bogus.Pack(gen.Sample(0, rng), 0)});
     (void)server.Train(nn::Table1Spec(32), FastOptions());
     reference.accepted = server.accepted_records();
@@ -1005,7 +1008,8 @@ TEST(NetDeterminismTest, LoopbackFlowMatchesInProcessAtEveryThreadCount) {
     ASSERT_TRUE(r1.ok()) << label;
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             forged_mix::ThrowawaySigningKey(301));
     auto r2 = client.SubmitUpload(session.value(),
                                   {bogus.Pack(gen.Sample(0, rng), 0)});
     ASSERT_TRUE(r2.ok()) << label;

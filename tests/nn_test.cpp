@@ -621,11 +621,10 @@ TEST(TrainerTest, EvaluateTopKBounds) {
   Network net = BuildNetwork(Table1Spec(32, 2), rng);
   std::vector<Image> images(4, Image(Shape{28, 28, 3}));
   std::vector<int> labels = {0, 1, 0, 1};
-  const double top1 = EvaluateTopK(net, images, labels, 1);
-  const double top2 = EvaluateTopK(net, images, labels, 2);
-  EXPECT_GE(top1, 0.0);
-  EXPECT_LE(top1, 1.0);
-  EXPECT_NEAR(top2, 1.0, 1e-9);
+  const Accuracy accuracy = EvaluateAccuracy(net, images, labels);
+  EXPECT_GE(accuracy.top1, 0.0);
+  EXPECT_LE(accuracy.top1, 1.0);
+  EXPECT_NEAR(accuracy.top2, 1.0, 1e-9);
 }
 
 TEST(AugmentTest, FlipIsInvolution) {

@@ -24,6 +24,7 @@
 
 #include "core/participant.hpp"
 #include "core/server.hpp"
+#include "crypto/group.hpp"
 #include "data/synthetic_cifar.hpp"
 #include "nn/presets.hpp"
 #include "persist/journal.hpp"
@@ -682,6 +683,33 @@ TEST(ServiceDurabilityTest, CorruptJournalIsTypedNotSilent) {
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.error().kind, serve::ServeErrorKind::kCorruptJournal);
   RemoveTree(dir);
+}
+
+TEST(ServiceDurabilityTest, UnsignedDirectoryEntryIsCorruptJournal) {
+  // A journaled directory entry without a valid signing key (0, or
+  // >= p) describes a participant whose uploads could never be
+  // attributed: recovery reports corruption instead of restoring it.
+  for (const crypto::U128 bad_pub : {crypto::U128{0}, crypto::GroupPrime()}) {
+    const std::string dir = MakeTempDir();
+    {
+      ByteWriter blob;
+      blob.WriteU32(1);
+      blob.WriteString("alice");
+      blob.WriteBytes(Bytes(32, 0x11));
+      blob.WriteBytes(crypto::U128ToBytes(bad_pub));
+      persist::DirectoryEvent directory;
+      directory.version = 1;
+      directory.blob = blob.Take();
+      auto log = persist::ServiceLog::Open(dir, persist::SyncMode::kNone);
+      (void)log->AppendDirectory(directory);
+    }
+    core::TrainingServer server;
+    auto recovered = serve::Service::Recover(server, DurableConfig(dir));
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.error().kind, serve::ServeErrorKind::kCorruptJournal);
+    EXPECT_FALSE(server.IsProvisioned("alice"));
+    RemoveTree(dir);
+  }
 }
 
 TEST(ServiceDurabilityTest, JournalFailureDegradesToReadOnly) {

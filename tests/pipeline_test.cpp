@@ -11,6 +11,7 @@
 #include "core/server.hpp"
 #include "data/synthetic_cifar.hpp"
 #include "data/synthetic_faces.hpp"
+#include "forged_mix.hpp"
 #include "linkage/metrics.hpp"
 #include "nn/config.hpp"
 #include "nn/presets.hpp"
@@ -147,25 +148,33 @@ TEST(PipelineTest, TinyEpcForcesPagingDuringTraining) {
 }
 
 TEST(PipelineTest, ReProvisioningReplacesKey) {
-  // A participant re-runs the handshake (e.g. after restarting): the
-  // new key replaces the old one, and records sealed under the old key
-  // are rejected afterwards.
+  // A participant re-runs the handshake (e.g. after restarting) with a
+  // fresh data key and the same signing key: the new data key replaces
+  // the old one, so a record sealed under the old key is rejected at
+  // the GCM open even though its signature still verifies.
   TrainingServer server;
-  data::LabeledDataset dataset = TinyCifar(8, 18);
-
-  Participant first("alice", dataset, 206);
-  (void)first.ProvisionAndUpload(server, server.training_measurement());
-  data::DataPackager old_packager("alice",
-                                  first.data_key(), 301);
-
-  Participant second("alice", dataset, 207);  // fresh key, same identity
-  (void)second.ProvisionAndUpload(server, server.training_measurement());
-
-  // A record sealed under the OLD key no longer authenticates.
+  forged_mix::HeldKeys alice = forged_mix::MakeHeldKeys("alice", 206);
+  ASSERT_TRUE(forged_mix::Provision(server, alice, 1));
+  data::DataPackager old_packager("alice", alice.data_key, 301,
+                                  alice.signing_key);
   Rng rng(19);
   data::SyntheticCifar gen;
-  const auto stale = old_packager.Pack(gen.Sample(0, rng), 0);
+  EXPECT_EQ(server.UploadRecords({old_packager.Pack(gen.Sample(0, rng), 0)}),
+            1U);
+
+  alice.data_key = forged_mix::MakeHeldKeys("alice", 207).data_key;
+  ASSERT_TRUE(forged_mix::Provision(server, alice, 2));
+  const data::EncryptedRecord stale = old_packager.Pack(gen.Sample(1, rng), 1);
+  const Bytes covered = stale.SignedPortion();
+  ASSERT_TRUE(crypto::SchnorrVerify(
+      alice.signing_key.public_value, covered,
+      crypto::DeserializeSignature(stale.signature)));
   EXPECT_EQ(server.UploadRecords({stale}), 0U);
+
+  data::DataPackager new_packager("alice", alice.data_key, 302,
+                                  alice.signing_key);
+  EXPECT_EQ(server.UploadRecords({new_packager.Pack(gen.Sample(2, rng), 2)}),
+            1U);
 }
 
 TEST(PipelineTest, ConfigDrivenServerTraining) {
@@ -209,7 +218,8 @@ TEST(PipelineTest, ParallelPipelineMatchesSerialRun) {
     // One record sealed under a bogus key must be rejected either way.
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             forged_mix::ThrowawaySigningKey(301));
     (void)server.UploadRecords({bogus.Pack(gen.Sample(0, rng), 0)});
     (void)server.Train(nn::Table1Spec(32), FastOptions(1));
     linkage::LinkageDatabase db = server.FingerprintAll();

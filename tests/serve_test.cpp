@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdlib>
 #include <future>
 #include <thread>
 #include <utility>
@@ -17,7 +18,9 @@
 #include "core/server.hpp"
 #include "data/packaging.hpp"
 #include "data/synthetic_cifar.hpp"
+#include "forged_mix.hpp"
 #include "nn/presets.hpp"
+#include "persist/service_log.hpp"
 #include "serve/service.hpp"
 #include "util/error.hpp"
 #include "util/threadpool.hpp"
@@ -327,7 +330,8 @@ TEST(ServiceIngestTest, ConcurrentUploadSessionsCountSafely) {
     alice.Provision(server, server.training_measurement());
     bob.Provision(server, server.training_measurement());
 
-    data::DataPackager forger("alice", Bytes(32, 0x5a), 900);
+    data::DataPackager forger("alice", Bytes(32, 0x5a), 900,
+                              forged_mix::ThrowawaySigningKey(900));
     std::vector<data::EncryptedRecord> forged;
     Rng rng(37);
     data::SyntheticCifar gen;
@@ -381,6 +385,106 @@ TEST(ServiceIngestTest, ConcurrentUploadSessionsCountSafely) {
         << "through_service=" << through_service;
     EXPECT_EQ(server.rejected_records(), 16U)
         << "through_service=" << through_service;
+  }
+}
+
+// ---------------------------------------------------- authentication path
+
+std::string MakeTempDir() {
+  std::string tmpl = ::testing::TempDir() + "caltrain_serve_XXXXXX";
+  CALTRAIN_REQUIRE(::mkdtemp(tmpl.data()) != nullptr, "mkdtemp failed");
+  return tmpl;
+}
+
+void RemoveTree(const std::string& dir) {
+  // Test dirs hold only regular files.
+  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
+  (void)rc;
+}
+
+TEST(ServiceAuthTest, ForgedMixVerdictsMatchOracle) {
+  // Seeded forged mixes through the batched, multi-worker ingest at
+  // threads 1 and 4: the journal's per-record accept flags equal the
+  // per-record oracle and the tallies are exact.  CI reruns this with
+  // CALTRAIN_FAULT=serve.auth=eio@N, where a retried transient auth
+  // fault must not change any verdict.
+  const forged_mix::HeldKeys tess = forged_mix::MakeHeldKeys("tess", 11);
+  const forged_mix::HeldKeys tom = forged_mix::MakeHeldKeys("tom", 12);
+  for (const unsigned threads : {1U, 4U}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ScopedThreads guard(threads);
+    const std::string dir = MakeTempDir();
+    core::TrainingServer server;
+    ASSERT_TRUE(forged_mix::Provision(server, tess, 13));
+    ASSERT_TRUE(forged_mix::Provision(server, tom, 14));
+
+    ServiceConfig config;
+    config.ingest_batch = 7;
+    config.ingest_workers = threads;
+    config.durable_dir = dir;
+    config.journal_sync = persist::SyncMode::kNone;
+    // Submission order, which is commit order (ticket order).
+    std::vector<Bytes> submitted;
+    std::vector<char> expected;
+    std::vector<std::uint64_t> seed_of;
+    std::size_t clean = 0;
+    {
+      Service service(server, config);
+      const Result<SessionId> session = service.OpenUploadSession("tess");
+      ASSERT_TRUE(session.ok());
+      for (const std::uint64_t seed : forged_mix::Seeds(24)) {
+        SCOPED_TRACE(forged_mix::ReplayHint(seed));
+        const forged_mix::Mix mix = forged_mix::MakeMix(tess, tom, seed);
+        const std::vector<char> oracle =
+            forged_mix::CheckedOracle(mix, {&tess, &tom});
+        for (std::size_t i = 0; i < mix.records.size(); ++i) {
+          submitted.push_back(mix.records[i].Serialize());
+          expected.push_back(oracle[i]);
+          seed_of.push_back(seed);
+        }
+        clean += mix.clean();
+        // Two submissions in flight per seed, so ingest batches end
+        // inside and across them.
+        const auto middle = mix.records.begin() +
+                            static_cast<std::ptrdiff_t>(seed % 5 + 1);
+        auto first = service.SubmitUpload(
+            session.value(), {mix.records.begin(), middle});
+        auto second = service.SubmitUpload(
+            session.value(), {middle, mix.records.end()});
+        const auto r1 = first.get();
+        const auto r2 = second.get();
+        ASSERT_TRUE(r1.ok()) << r1.error().message;
+        ASSERT_TRUE(r2.ok()) << r2.error().message;
+        EXPECT_EQ(r1.value().accepted + r2.value().accepted, mix.clean());
+        EXPECT_EQ(r1.value().rejected + r2.value().rejected,
+                  mix.records.size() - mix.clean());
+      }
+      const Result<SessionStats> stats =
+          service.CloseUploadSession(session.value());
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats.value().accepted, clean);
+      EXPECT_EQ(stats.value().rejected, submitted.size() - clean);
+    }
+    EXPECT_EQ(server.accepted_records(), clean);
+    EXPECT_EQ(server.rejected_records(), submitted.size() - clean);
+
+    std::vector<Bytes> committed;
+    std::vector<char> flags;
+    persist::ReplayVisitor visitor;
+    visitor.on_commit = [&](persist::CommitBatchEvent event) {
+      for (std::size_t i = 0; i < event.records.size(); ++i) {
+        committed.push_back(event.records[i].Serialize());
+        flags.push_back(event.accepted[i]);
+      }
+    };
+    (void)persist::ServiceLog::Replay(dir, visitor);
+    ASSERT_EQ(committed.size(), submitted.size());
+    for (std::size_t i = 0; i < committed.size(); ++i) {
+      ASSERT_EQ(committed[i], submitted[i]) << "commit order, record " << i;
+      EXPECT_EQ(flags[i], expected[i])
+          << "record " << i << " of " << forged_mix::ReplayHint(seed_of[i]);
+    }
+    RemoveTree(dir);
   }
 }
 
@@ -448,7 +552,8 @@ TEST(ServicePipelineTest, AsyncPathMatchesSyncPathAtEveryThreadCount) {
     (void)alice.ProvisionAndUpload(server, server.training_measurement());
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             forged_mix::ThrowawaySigningKey(301));
     (void)server.UploadRecords({bogus.Pack(gen.Sample(0, rng), 0)});
     (void)server.Train(nn::Table1Spec(32), FastOptions());
     sync.accepted = server.accepted_records();
@@ -487,7 +592,8 @@ TEST(ServicePipelineTest, AsyncPathMatchesSyncPathAtEveryThreadCount) {
     auto r1 = service.SubmitUpload(session.value(), alice.PackRecords());
     Rng rng(43);
     data::SyntheticCifar gen;
-    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301);
+    data::DataPackager bogus("alice", Bytes(32, 0x5a), 301,
+                             forged_mix::ThrowawaySigningKey(301));
     // The forged record must enqueue after alice's corpus to reproduce
     // the sync record order; wait for the first submission.
     ASSERT_TRUE(r1.get().ok());
