@@ -230,25 +230,14 @@ std::vector<char> TrainingServer::AuthenticateRecords(
       sig_ok[bad] = 0;
     }
 
-    // Stage 2: GCM-open the signature survivors in one batch (shared
-    // multi-buffer SHA-256 for the content hashes).  The plaintexts are
-    // discarded — training re-decrypts per batch inside the enclave.
-    std::vector<const data::EncryptedRecord*> to_open;
-    std::vector<const crypto::AesGcm*> open_ciphers;
-    std::vector<std::size_t> open_record;
+    // Stage 2: GCM-open and check the signature survivors.  The
+    // plaintexts are discarded — training re-decrypts per batch inside
+    // the enclave — so no image or content hash is built here.
     for (std::size_t c = 0; c < candidate.size(); ++c) {
       if (sig_ok[c] == 0) continue;
-      to_open.push_back(&records[candidate[c]]);
-      open_ciphers.push_back(&cred_of[c]->cipher);
-      open_record.push_back(candidate[c]);
-    }
-    const auto opened = data::OpenRecordsBatch(
-        std::span<const data::EncryptedRecord* const>(to_open.data(),
-                                                      to_open.size()),
-        std::span<const crypto::AesGcm* const>(open_ciphers.data(),
-                                               open_ciphers.size()));
-    for (std::size_t k = 0; k < opened.size(); ++k) {
-      accepted[open_record[k]] = opened[k].has_value() ? 1 : 0;
+      const auto plaintext =
+          data::OpenCheckedInstance(records[candidate[c]], cred_of[c]->cipher);
+      accepted[candidate[c]] = plaintext.has_value() ? 1 : 0;
     }
   }
   return accepted;

@@ -149,8 +149,9 @@ class TrainingServer {
   std::size_t UploadRecords(const std::vector<data::EncryptedRecord>& records);
 
   /// Batched authentication core: verifies each record's signature and
-  /// GCM tag against its source's provisioned keys, `batch_size` records
-  /// per enclave transition (one enclave::TransitionGuard per batch).
+  /// GCM tag against its source's provisioned keys and checks its inner
+  /// instance (data::OpenCheckedInstance), `batch_size` records per
+  /// enclave transition (one enclave::TransitionGuard per batch).
   /// Returns per-record accept flags; commits nothing.  Thread-safe for
   /// concurrent callers.
   [[nodiscard]] std::vector<char> AuthenticateRecords(

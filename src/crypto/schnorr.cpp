@@ -166,7 +166,8 @@ std::vector<std::size_t> SchnorrVerifyBatch(
 
   // Range checks (identical to SchnorrVerify) and per-item challenges;
   // no exponentiation happens here — the aggregate check amortizes the
-  // ladders across the batch.
+  // ladders across the batch.  Each message is hashed once, into e_i,
+  // which stands in for it in the weight seed.
   Sha256 batch_hasher;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const SchnorrBatchItem& item = items[i];
@@ -180,9 +181,10 @@ std::vector<std::size_t> SchnorrVerifyBatch(
         Challenge(item.signature.commitment, item.public_value, item.message);
     const Bytes enc = SerializeSignature(item.signature);
     const Bytes y = U128ToBytes(item.public_value);
+    const Bytes e = U128ToBytes(ctx.e[i]);
     batch_hasher.Update(BytesView(enc.data(), enc.size()));
     batch_hasher.Update(BytesView(y.data(), y.size()));
-    batch_hasher.Update(item.message);
+    batch_hasher.Update(BytesView(e.data(), e.size()));
   }
 
   // RLC weights from a DRBG seeded by the batch content, so a forger

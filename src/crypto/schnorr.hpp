@@ -47,12 +47,15 @@ struct SchnorrBatchItem {
 
 /// Verifies a batch with one random-linear-combination aggregate check
 /// instead of two full exponentiations per item: with odd 64-bit
-/// weights z_i drawn from an HMAC-DRBG seeded by a hash of the whole
-/// batch, all signatures are valid iff
+/// weights z_i drawn from an HMAC-DRBG seeded by a hash of every item's
+/// (R_i, s_i, y_i, e_i), all signatures are valid iff
 ///   g^{sum z_i s_i} == prod R_i^{z_i} * prod_y y^{sum z_i e_i}
-/// (up to a 2^-64 aggregation collision).  The public-key side groups
-/// by distinct y, so a batch from one participant — the ingest shape —
-/// costs one ladder for the whole batch plus ~32 multiplies per item.
+/// (up to a 2^-64 aggregation collision).  The challenge
+/// e_i = H(R_i || y_i || m_i) binds the message, so each message is
+/// hashed exactly once (the small-exponent test of Bellare, Garay and
+/// Rabin, EUROCRYPT 1998).  The public-key side groups by distinct y,
+/// so a batch from one participant — the ingest shape — costs one
+/// ladder for the whole batch plus ~32 multiplies per item.
 /// On aggregate mismatch the batch is bisected, with an exact per-item
 /// g^{s_i} == R_i * y_i^{e_i} check at the leaves, so every invalid
 /// item is attributed precisely.  Returns the indices of invalid items

@@ -60,7 +60,7 @@ class Sha256 {
 /// Sha256Hash on each input; when the CPU has AVX2 (and no SHA-NI,
 /// which is faster per lane already), groups of eight buffers are
 /// compressed together in the eight 32-bit lanes of AVX2 registers —
-/// the ingest-batch fast path for record content hashes.
+/// the batch path for record content hashes (data::OpenRecordsBatch).
 void Sha256Batch(std::span<const BytesView> inputs,
                  Sha256Digest* digests) noexcept;
 

@@ -20,6 +20,38 @@ Bytes SeedBytes(std::uint64_t seed) {
   return out;
 }
 
+/// The fixed header of a serialized training instance: w, h, c, label
+/// and the pixel count, one u32 each.
+constexpr std::size_t kInstanceHeaderBytes = 20;
+
+struct InstanceHeader {
+  nn::Shape shape;
+  int label = 0;
+};
+
+/// The one shape rule for a serialized training instance.  The declared
+/// shape is untrusted: positive dimensions with w*h within the pixel
+/// count keep Flat() from overflowing, Flat() must equal the count, and
+/// the blob must end exactly after the count floats.
+std::optional<InstanceHeader> ParseInstanceHeader(BytesView blob) {
+  if (blob.size() < kInstanceHeaderBytes) return std::nullopt;
+  ByteReader reader(blob);
+  InstanceHeader header;
+  header.shape.w = static_cast<int>(reader.ReadU32());
+  header.shape.h = static_cast<int>(reader.ReadU32());
+  header.shape.c = static_cast<int>(reader.ReadU32());
+  header.label = static_cast<int>(reader.ReadU32());
+  const std::size_t n = reader.ReadU32();
+  const nn::Shape& shape = header.shape;
+  const bool ok = reader.remaining() == n * 4 && shape.w > 0 &&
+                  shape.h > 0 && shape.c > 0 &&
+                  static_cast<std::size_t>(shape.w) *
+                          static_cast<std::size_t>(shape.h) <= n &&
+                  shape.Flat() == n;
+  if (!ok) return std::nullopt;
+  return header;
+}
+
 }  // namespace
 
 std::size_t EncryptedRecord::SerializedSize() const noexcept {
@@ -79,25 +111,14 @@ Bytes SerializeTrainingInstance(const nn::Image& image, int label) {
 }
 
 std::pair<nn::Image, int> DeserializeTrainingInstance(BytesView blob) {
-  ByteReader reader(blob);
-  nn::Shape shape;
-  shape.w = static_cast<int>(reader.ReadU32());
-  shape.h = static_cast<int>(reader.ReadU32());
-  shape.c = static_cast<int>(reader.ReadU32());
-  const int label = static_cast<int>(reader.ReadU32());
+  const auto header = ParseInstanceHeader(blob);
+  CALTRAIN_REQUIRE(header.has_value(), "malformed training instance blob");
+  // The pixel vector starts at its count, after w, h, c and the label.
+  ByteReader reader(blob.subspan(kInstanceHeaderBytes - 4));
   nn::Image image;
+  image.shape = header->shape;
   image.pixels = reader.ReadF32Vector();
-  // The declared shape is untrusted: positive dimensions with w*h
-  // within the pixel count keep Flat() from overflowing.
-  const std::size_t n = image.pixels.size();
-  CALTRAIN_REQUIRE(reader.AtEnd() && shape.w > 0 && shape.h > 0 &&
-                       shape.c > 0 &&
-                       static_cast<std::size_t>(shape.w) *
-                               static_cast<std::size_t>(shape.h) <= n &&
-                       shape.Flat() == n,
-                   "malformed training instance blob");
-  image.shape = shape;
-  return {std::move(image), label};
+  return {std::move(image), header->label};
 }
 
 crypto::Sha256Digest HashTrainingInstance(const nn::Image& image, int label) {
@@ -138,9 +159,28 @@ std::vector<EncryptedRecord> DataPackager::PackAll(
   return out;
 }
 
+std::optional<Bytes> OpenCheckedInstance(const EncryptedRecord& record,
+                                         const crypto::AesGcm& cipher) {
+  if (record.iv.size() != crypto::kGcmIvSize ||
+      record.tag.size() != crypto::kGcmTagSize) {
+    return std::nullopt;
+  }
+  auto plaintext = cipher.Open(
+      record.iv, RecordAad(record.participant_id, record.label),
+      record.ciphertext,
+      std::span<const std::uint8_t, crypto::kGcmTagSize>(
+          record.tag.data(), crypto::kGcmTagSize));
+  if (!plaintext.has_value()) return std::nullopt;
+  const auto header = ParseInstanceHeader(*plaintext);
+  if (!header.has_value() || header->label != record.label) {
+    return std::nullopt;  // malformed inner blob or inner/outer mismatch
+  }
+  return plaintext;
+}
+
 std::optional<VerifiedRecord> OpenRecord(const EncryptedRecord& record,
                                          const crypto::AesGcm& cipher) {
-  // A batch of one: the checks and the content hash live in one place.
+  // A batch of one: the content hash lives in one place.
   const EncryptedRecord* const records[] = {&record};
   const crypto::AesGcm* const ciphers[] = {&cipher};
   return std::move(OpenRecordsBatch(records, ciphers).front());
@@ -153,41 +193,27 @@ std::vector<std::optional<VerifiedRecord>> OpenRecordsBatch(
                    "record/cipher count mismatch in batch open");
   std::vector<std::optional<VerifiedRecord>> results(records.size());
 
-  // Pass 1: GCM-open and structurally validate each record, keeping the
-  // plaintexts of the survivors for the hash batch.
+  // Pass 1: open and check each record, then decode the survivors'
+  // images, keeping their plaintexts for the hash batch.
   std::vector<Bytes> plaintexts(records.size());
   std::vector<BytesView> to_hash;
   std::vector<std::size_t> hash_index;
   to_hash.reserve(records.size());
   hash_index.reserve(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const EncryptedRecord& record = *records[i];
-    if (record.iv.size() != crypto::kGcmIvSize ||
-        record.tag.size() != crypto::kGcmTagSize) {
-      continue;
-    }
-    std::array<std::uint8_t, crypto::kGcmTagSize> tag{};
-    std::copy(record.tag.begin(), record.tag.end(), tag.begin());
-    auto plaintext = ciphers[i]->Open(
-        record.iv, RecordAad(record.participant_id, record.label),
-        record.ciphertext, tag);
+    auto plaintext = OpenCheckedInstance(*records[i], *ciphers[i]);
     if (!plaintext.has_value()) continue;
-    try {
-      auto [image, label] = DeserializeTrainingInstance(*plaintext);
-      if (label != record.label) continue;  // inner/outer mismatch
-      VerifiedRecord verified;
-      verified.image = std::move(image);
-      verified.label = label;
-      verified.participant_id = record.participant_id;
-      results[i] = std::move(verified);
-      plaintexts[i] = std::move(*plaintext);
-      // The plaintext IS the canonical instance serialization, so its
-      // hash equals HashTrainingInstance without re-serializing.
-      to_hash.emplace_back(plaintexts[i].data(), plaintexts[i].size());
-      hash_index.push_back(i);
-    } catch (const Error&) {
-      // malformed inner blob: rejected
-    }
+    auto [image, label] = DeserializeTrainingInstance(*plaintext);
+    VerifiedRecord verified;
+    verified.image = std::move(image);
+    verified.label = label;
+    verified.participant_id = records[i]->participant_id;
+    results[i] = std::move(verified);
+    plaintexts[i] = std::move(*plaintext);
+    // The plaintext IS the canonical instance serialization, so its
+    // hash equals HashTrainingInstance without re-serializing.
+    to_hash.emplace_back(plaintexts[i].data(), plaintexts[i].size());
+    hash_index.push_back(i);
   }
 
   // Pass 2: all content hashes in one multi-buffer sweep.

@@ -61,6 +61,9 @@ struct VerifiedRecord {
 /// encrypted and the bytes the linkage hash H covers.
 [[nodiscard]] Bytes SerializeTrainingInstance(const nn::Image& image,
                                               int label);
+/// Throws kInvalidArgument unless `blob` is a well-formed instance:
+/// positive dimensions, w*h within the pixel count, Flat() equal to the
+/// count, no trailing bytes (the same rule OpenCheckedInstance applies).
 [[nodiscard]] std::pair<nn::Image, int> DeserializeTrainingInstance(
     BytesView blob);
 
@@ -95,19 +98,29 @@ class DataPackager {
   crypto::SchnorrKeyPair signing_key_;
 };
 
-/// Enclave-side opener: verifies authenticity/integrity with the
-/// provisioned key's cipher and decrypts.  Returns nullopt when the
-/// record fails authentication (forged source, bit-flips, flipped
-/// label) — the caller must discard it (paper: "injected training data
-/// from unregistered training participants will be discarded").
+/// The ingest accept rule: checks the iv and tag sizes, GCM-opens the
+/// record under its AAD (participant id, label) with the provisioned
+/// key's cipher, and checks the plaintext is a well-formed training
+/// instance whose inner label equals the outer one.  Returns that
+/// plaintext, the canonical instance bytes, or nullopt when the record
+/// fails (forged source, bit-flips, flipped label, malformed instance).
+/// Builds no image and no content hash.
+[[nodiscard]] std::optional<Bytes> OpenCheckedInstance(
+    const EncryptedRecord& record, const crypto::AesGcm& cipher);
+
+/// Enclave-side opener: OpenCheckedInstance, then the decoded image and
+/// the linkage content hash.  Returns nullopt when the record fails
+/// authentication — the caller must discard it (paper: "injected
+/// training data from unregistered training participants will be
+/// discarded").
 [[nodiscard]] std::optional<VerifiedRecord> OpenRecord(
     const EncryptedRecord& record, const crypto::AesGcm& cipher);
 
-/// Batch form of OpenRecord for the ingest path: GCM-opens every
-/// record (records[i] with ciphers[i]) and computes the linkage
-/// content hashes with the multi-buffer SHA-256 engine instead of one
-/// hash per record.  results[i] is nullopt exactly where
-/// OpenRecord(records[i], ciphers[i]) would reject.
+/// Batch form of OpenRecord: opens every record (records[i] with
+/// ciphers[i]) and computes the content hashes with the multi-buffer
+/// SHA-256 engine instead of one hash per record.  results[i] is
+/// nullopt exactly where OpenRecord(records[i], ciphers[i]) would
+/// reject.
 [[nodiscard]] std::vector<std::optional<VerifiedRecord>> OpenRecordsBatch(
     std::span<const EncryptedRecord* const> records,
     std::span<const crypto::AesGcm* const> ciphers);

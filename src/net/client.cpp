@@ -41,12 +41,12 @@ const Client::HelloInfo& Client::Connect() {
 
 void Client::Disconnect() noexcept {
   fd_.reset();
-  decoder_ = FrameDecoder(options_.max_frame_bytes);
+  decoder_ = FrameDecoder();
 }
 
 void Client::EnsureConnected() {
   if (fd_.valid()) return;
-  decoder_ = FrameDecoder(options_.max_frame_bytes);
+  decoder_ = FrameDecoder();
 
   util::UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) ThrowTransport("socket");
@@ -76,8 +76,7 @@ void Client::EnsureConnected() {
 
   // Version negotiation before anything else rides the connection.
   try {
-    SendFrame(EncodeFrame(EncodeHello(HelloRequest{}),
-                          options_.max_frame_bytes));
+    SendFrame(EncodeFrame(EncodeHello(HelloRequest{})));
     Frame reply = ReadFrame();
     if (reply.type == MsgType::kError) {
       serve::ServeError error = DecodeError(reply.body());
@@ -191,8 +190,7 @@ serve::Result<T> Client::Call(const Bytes& frame, MsgType expected,
 serve::Result<serve::SessionId> Client::OpenSession(
     const std::string& participant_id) {
   auto result = Call<OpenSessionAck>(
-      EncodeFrame(EncodeOpenSession({participant_id}),
-                  options_.max_frame_bytes),
+      EncodeFrame(EncodeOpenSession({participant_id})),
       MsgType::kOpenSessionAck, DecodeOpenSessionAck);
   if (!result.ok()) return result.error();
   return serve::Result<serve::SessionId>(result.value().session);
@@ -207,15 +205,15 @@ serve::Result<serve::UploadReceipt> Client::SubmitUpload(
   // gate replays the original outcome instead of re-ingesting.
   request.upload_seq = next_seq_[session]++;
   request.records = std::move(records);
-  return Call<serve::UploadReceipt>(
-      EncodeSubmitUploadFrame(request, options_.max_frame_bytes),
-      MsgType::kUploadReceipt, DecodeUploadReceipt);
+  return Call<serve::UploadReceipt>(EncodeSubmitUploadFrame(request),
+                                    MsgType::kUploadReceipt,
+                                    DecodeUploadReceipt);
 }
 
 serve::Result<serve::SessionStats> Client::CloseSession(
     serve::SessionId session) {
   auto result = Call<serve::SessionStats>(
-      EncodeFrame(EncodeCloseSession({session}), options_.max_frame_bytes),
+      EncodeFrame(EncodeCloseSession({session})),
       MsgType::kCloseSessionAck, DecodeCloseSessionAck);
   if (result.ok()) next_seq_.erase(session);
   return result;
@@ -227,7 +225,7 @@ serve::Result<core::MispredictionReport> Client::Investigate(
   request.input = std::move(input);
   request.k = k;
   return Call<core::MispredictionReport>(
-      EncodeFrame(EncodeInvestigate(request), options_.max_frame_bytes),
+      EncodeFrame(EncodeInvestigate(request)),
       MsgType::kInvestigateAck, DecodeInvestigateAck);
 }
 
@@ -237,21 +235,20 @@ Client::InvestigateBatch(std::vector<nn::Image> inputs, std::size_t k) {
   request.inputs = std::move(inputs);
   request.k = k;
   return Call<std::vector<core::MispredictionReport>>(
-      EncodeFrame(EncodeInvestigateBatch(request), options_.max_frame_bytes),
+      EncodeFrame(EncodeInvestigateBatch(request)),
       MsgType::kInvestigateBatchAck, DecodeInvestigateBatchAck);
 }
 
 serve::Result<core::TrainingServer::ReleasedModel> Client::Release(
     const std::string& participant_id) {
   return Call<core::TrainingServer::ReleasedModel>(
-      EncodeFrame(EncodeRelease({participant_id}), options_.max_frame_bytes),
+      EncodeFrame(EncodeRelease({participant_id})),
       MsgType::kReleaseAck, DecodeReleaseAck);
 }
 
 serve::Result<StatusAck> Client::Status() {
-  return Call<StatusAck>(
-      EncodeFrame(EncodeStatus(), options_.max_frame_bytes),
-      MsgType::kStatusAck, DecodeStatusAck);
+  return Call<StatusAck>(EncodeFrame(EncodeStatus()), MsgType::kStatusAck,
+                         DecodeStatusAck);
 }
 
 Bytes Client::ProvisionHello(const std::string& participant_id,
@@ -260,8 +257,7 @@ Bytes Client::ProvisionHello(const std::string& participant_id,
   msg.participant_id = participant_id;
   msg.blob.assign(client_hello.begin(), client_hello.end());
   auto result = Call<ProvisionBlobAck>(
-      EncodeFrame(EncodeProvision(MsgType::kProvisionHello, msg),
-                  options_.max_frame_bytes),
+      EncodeFrame(EncodeProvision(MsgType::kProvisionHello, msg)),
       MsgType::kProvisionHelloAck, DecodeProvisionBlobAck);
   return std::move(std::move(result).value().blob);
 }
@@ -272,8 +268,7 @@ bool Client::ProvisionFinished(const std::string& participant_id,
   msg.participant_id = participant_id;
   msg.blob.assign(finished.begin(), finished.end());
   return Call<ProvisionOkAck>(
-             EncodeFrame(EncodeProvision(MsgType::kProvisionFinished, msg),
-                         options_.max_frame_bytes),
+             EncodeFrame(EncodeProvision(MsgType::kProvisionFinished, msg)),
              MsgType::kProvisionFinishedAck, DecodeProvisionOkAck)
       .value()
       .ok;
@@ -285,8 +280,7 @@ bool Client::ProvisionKey(const std::string& participant_id,
   msg.participant_id = participant_id;
   msg.blob.assign(record.begin(), record.end());
   return Call<ProvisionOkAck>(
-             EncodeFrame(EncodeProvision(MsgType::kProvisionKey, msg),
-                         options_.max_frame_bytes),
+             EncodeFrame(EncodeProvision(MsgType::kProvisionKey, msg)),
              MsgType::kProvisionKeyAck, DecodeProvisionOkAck)
       .value()
       .ok;

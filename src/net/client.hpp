@@ -47,7 +47,6 @@ struct ClientOptions {
   /// IPv4 dotted-quad only (no resolver dependency).
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Reconnect/resubmit schedule for transient transport faults.
   util::BackoffPolicy backoff;
 };
@@ -127,7 +126,7 @@ class Client final : public core::ProvisionTransport {
   static constexpr std::chrono::milliseconds kIoTimeout{30000};
   ClientOptions options_;
   util::UniqueFd fd_;
-  FrameDecoder decoder_{kDefaultMaxFrameBytes};
+  FrameDecoder decoder_;
   HelloInfo hello_;
   /// Next upload sequence per session — assigned before the retry
   /// loop so every transport-level resubmit carries the same number.

@@ -33,9 +33,8 @@ class Connection {
     kClosed,  ///< peer hung up, hard error, or injected net.read/write
   };
 
-  Connection(util::UniqueFd fd, std::uint64_t id,
-             std::size_t max_frame_bytes)
-      : decoder(max_frame_bytes), fd_(std::move(fd)), id_(id) {}
+  Connection(util::UniqueFd fd, std::uint64_t id)
+      : fd_(std::move(fd)), id_(id) {}
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
   [[nodiscard]] int fd() const noexcept { return fd_.get(); }

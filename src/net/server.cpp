@@ -216,8 +216,7 @@ void Server::HandleAccept() {
     (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one,
                        sizeof(one));
     const std::uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(std::move(fd), id,
-                                             options_.max_frame_bytes);
+    auto conn = std::make_unique<Connection>(std::move(fd), id);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = id;
@@ -291,10 +290,8 @@ void Server::ApplyUploadCompletion(const Completion& completion) {
   // client mints a fresh sequence for every application-level call, so
   // replayed errors are always answers to the same question.
   Bytes frame =
-      result.ok()
-          ? EncodeFrame(EncodeUploadReceipt(result.value()),
-                        options_.max_frame_bytes)
-          : EncodeFrame(EncodeError(result.error()), options_.max_frame_bytes);
+      result.ok() ? EncodeFrame(EncodeUploadReceipt(result.value()))
+                  : EncodeFrame(EncodeError(result.error()));
   UploadGate& gate = gates_[completion.session];
   gate.next_seq = completion.upload_seq + 1;
   gate.last_response = frame;
@@ -425,10 +422,8 @@ bool Server::HandleFrame(Connection& conn, Frame frame) {
           // protocol violation: typed error, connection stays up.
           return SendError(conn, serve::FromError(e), /*close=*/false);
         }
-        return QueueResponse(
-                   conn, EncodeFrame(EncodeProvisionBlobAck({std::move(
-                                         reply)}),
-                                     options_.max_frame_bytes)) ||
+        return QueueResponse(conn, EncodeFrame(EncodeProvisionBlobAck(
+                                       {std::move(reply)}))) ||
                (CloseConnection(conn.id()), false);
       }
       case MsgType::kProvisionFinished:
@@ -448,8 +443,7 @@ bool Server::HandleFrame(Connection& conn, Frame frame) {
                                 ? MsgType::kProvisionFinishedAck
                                 : MsgType::kProvisionKeyAck;
         return QueueResponse(conn,
-                             EncodeFrame(EncodeProvisionOkAck(ack, {ok}),
-                                         options_.max_frame_bytes)) ||
+                             EncodeFrame(EncodeProvisionOkAck(ack, {ok}))) ||
                (CloseConnection(conn.id()), false);
       }
       case MsgType::kOpenSession: {
@@ -461,9 +455,7 @@ bool Server::HandleFrame(Connection& conn, Frame frame) {
         }
         gates_.emplace(opened.value(), UploadGate{});
         return QueueResponse(
-                   conn,
-                   EncodeFrame(EncodeOpenSessionAck({opened.value()}),
-                               options_.max_frame_bytes)) ||
+                   conn, EncodeFrame(EncodeOpenSessionAck({opened.value()}))) ||
                (CloseConnection(conn.id()), false);
       }
       case MsgType::kSubmitUpload:
@@ -473,21 +465,19 @@ bool Server::HandleFrame(Connection& conn, Frame frame) {
         conn.busy = true;
         ++pending_requests_;
         const std::uint64_t conn_id = conn.id();
-        const std::size_t max_frame = options_.max_frame_bytes;
         service_.CloseUploadSessionAsync(
             msg.session,
-            [this, conn_id, session = msg.session,
-             max_frame](serve::Result<serve::SessionStats> result) {
+            [this, conn_id,
+             session = msg.session](serve::Result<serve::SessionStats> result) {
               Completion completion;
               completion.conn_id = conn_id;
               completion.session = session;
               if (result.ok()) {
-                completion.frame = EncodeFrame(
-                    EncodeCloseSessionAck(result.value()), max_frame);
+                completion.frame =
+                    EncodeFrame(EncodeCloseSessionAck(result.value()));
                 completion.erase_gate = true;
               } else {
-                completion.frame =
-                    EncodeFrame(EncodeError(result.error()), max_frame);
+                completion.frame = EncodeFrame(EncodeError(result.error()));
               }
               PostCompletion(std::move(completion));
             });
@@ -499,18 +489,15 @@ bool Server::HandleFrame(Connection& conn, Frame frame) {
         conn.busy = true;
         ++pending_requests_;
         const std::uint64_t conn_id = conn.id();
-        const std::size_t max_frame = options_.max_frame_bytes;
         service_.SubmitInvestigateAsync(
             std::move(msg.input), static_cast<std::size_t>(msg.k),
-            [this, conn_id,
-             max_frame](serve::Result<core::MispredictionReport> result) {
+            [this, conn_id](serve::Result<core::MispredictionReport> result) {
               Completion completion;
               completion.conn_id = conn_id;
               completion.frame =
                   result.ok()
-                      ? EncodeFrame(EncodeInvestigateAck(result.value()),
-                                    max_frame)
-                      : EncodeFrame(EncodeError(result.error()), max_frame);
+                      ? EncodeFrame(EncodeInvestigateAck(result.value()))
+                      : EncodeFrame(EncodeError(result.error()));
               PostCompletion(std::move(completion));
             });
         UpdateEpoll(conn);
@@ -521,20 +508,17 @@ bool Server::HandleFrame(Connection& conn, Frame frame) {
         conn.busy = true;
         ++pending_requests_;
         const std::uint64_t conn_id = conn.id();
-        const std::size_t max_frame = options_.max_frame_bytes;
         service_.SubmitInvestigateBatchAsync(
             std::move(msg.inputs), static_cast<std::size_t>(msg.k),
-            [this, conn_id, max_frame](
+            [this, conn_id](
                 serve::Result<std::vector<core::MispredictionReport>>
                     result) {
               Completion completion;
               completion.conn_id = conn_id;
               completion.frame =
                   result.ok()
-                      ? EncodeFrame(
-                            EncodeInvestigateBatchAck(result.value()),
-                            max_frame)
-                      : EncodeFrame(EncodeError(result.error()), max_frame);
+                      ? EncodeFrame(EncodeInvestigateBatchAck(result.value()))
+                      : EncodeFrame(EncodeError(result.error()));
               PostCompletion(std::move(completion));
             });
         UpdateEpoll(conn);
@@ -545,18 +529,16 @@ bool Server::HandleFrame(Connection& conn, Frame frame) {
         conn.busy = true;
         ++pending_requests_;
         const std::uint64_t conn_id = conn.id();
-        const std::size_t max_frame = options_.max_frame_bytes;
         service_.SubmitReleaseAsync(
             msg.participant_id,
-            [this, conn_id, max_frame](
+            [this, conn_id](
                 serve::Result<core::TrainingServer::ReleasedModel> result) {
               Completion completion;
               completion.conn_id = conn_id;
               completion.frame =
                   result.ok()
-                      ? EncodeFrame(EncodeReleaseAck(result.value()),
-                                    max_frame)
-                      : EncodeFrame(EncodeError(result.error()), max_frame);
+                      ? EncodeFrame(EncodeReleaseAck(result.value()))
+                      : EncodeFrame(EncodeError(result.error()));
               PostCompletion(std::move(completion));
             });
         UpdateEpoll(conn);
@@ -569,8 +551,7 @@ bool Server::HandleFrame(Connection& conn, Frame frame) {
         ack.degraded = service_.degraded();
         ack.accepted_records = service_.server().accepted_records();
         ack.rejected_records = service_.server().rejected_records();
-        return QueueResponse(conn, EncodeFrame(EncodeStatusAck(ack),
-                                               options_.max_frame_bytes)) ||
+        return QueueResponse(conn, EncodeFrame(EncodeStatusAck(ack))) ||
                (CloseConnection(conn.id()), false);
       }
       default:
@@ -610,15 +591,14 @@ bool Server::HandleHello(Connection& conn, const Frame& frame) {
   conn.version = std::min(kProtocolVersionMax, msg.version_max);
   HelloAck ack;
   ack.version = conn.version;
-  ack.max_frame_bytes = options_.max_frame_bytes;
+  ack.max_frame_bytes = kDefaultMaxFrameBytes;
   ack.attestation_public_key =
       crypto::U128ToBytes(service_.server().attestation_public_key());
   const crypto::Sha256Digest& measurement =
       service_.server().training_measurement();
   ack.measurement.assign(measurement.begin(), measurement.end());
   conn.state = Connection::State::kReady;
-  if (!QueueResponse(conn, EncodeFrame(EncodeHelloAck(ack),
-                                       options_.max_frame_bytes))) {
+  if (!QueueResponse(conn, EncodeFrame(EncodeHelloAck(ack)))) {
     CloseConnection(conn.id());
     return false;
   }
@@ -675,7 +655,7 @@ void Server::DispatchUpload(Connection& conn) {
 
 bool Server::SendError(Connection& conn, serve::ServeError error,
                        bool close) {
-  Bytes frame = EncodeFrame(EncodeError(error), options_.max_frame_bytes);
+  Bytes frame = EncodeFrame(EncodeError(error));
   if (close) conn.state = Connection::State::kClosing;
   if (!QueueResponse(conn, std::move(frame))) {
     CloseConnection(conn.id());

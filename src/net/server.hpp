@@ -20,6 +20,8 @@
 //     blocks and the client never sees the saturation.
 //   * A peer that stops reading its responses (slowloris) is cut off
 //     once its write backlog passes kMaxWriteBacklog (64 MiB).
+//   * Frames in both directions are capped at kDefaultMaxFrameBytes
+//     (64 MiB), which the HelloAck announces.
 //
 // Uploads are idempotent: every SubmitUpload carries a client-assigned
 // per-session sequence number; the server remembers the last completed
@@ -56,7 +58,6 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back with port() after Start.
   std::uint16_t port = 0;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 class Server {

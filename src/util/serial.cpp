@@ -105,9 +105,20 @@ std::string ByteReader::ReadString() {
 
 std::vector<float> ByteReader::ReadF32Vector() {
   const std::uint32_t len = ReadU32();
-  Need(static_cast<std::size_t>(len) * 4);
+  const std::size_t bytes = static_cast<std::size_t>(len) * 4;
+  Need(bytes);
   std::vector<float> out(len);
-  for (std::uint32_t i = 0; i < len; ++i) out[i] = ReadF32();
+  const std::uint8_t* const src = data_.data() + pos_;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (len != 0) std::memcpy(out.data(), src, bytes);
+  } else {
+    for (std::size_t i = 0; i < len; ++i) {
+      std::uint32_t v = 0;
+      for (int b = 3; b >= 0; --b) v = (v << 8) | src[i * 4 + b];
+      out[i] = std::bit_cast<float>(v);
+    }
+  }
+  pos_ += bytes;
   return out;
 }
 

@@ -547,6 +547,52 @@ TEST(ServerAuthTest, ForgedMixMatchesPerRecordOracle) {
   }
 }
 
+TEST(ServerAuthTest, NearMissInstancesIngestCheckMatchesFullOpen) {
+  // Validly sealed and signed plaintexts, each a near miss of a training
+  // instance, between valid instances of random shapes: the ingest check
+  // (OpenCheckedInstance, and AuthenticateRecords at several batch
+  // sizes) agrees with the full OpenRecord record by record.
+  TrainingServer server;
+  const forged_mix::HeldKeys tess = forged_mix::MakeHeldKeys("tess", 21);
+  ASSERT_TRUE(forged_mix::Provision(server, tess, 22));
+  const crypto::AesGcm cipher(tess.data_key);
+  for (const std::uint64_t seed : forged_mix::Seeds(32)) {
+    SCOPED_TRACE(forged_mix::ReplayHint(seed));
+    Rng rng(seed);
+    crypto::HmacDrbg drbg(forged_mix::SeedBytes(seed), BytesOf("near miss"));
+    std::vector<data::EncryptedRecord> records;
+    std::vector<char> expected;
+    for (int k = 0; k < forged_mix::kNearMissKinds; ++k) {
+      const auto kind = static_cast<forged_mix::NearMiss>(k);
+      const int label = static_cast<int>(rng.NextU64() % 10);
+      const Bytes near_miss = forged_mix::UndecodableInstance(kind, label, rng);
+      EXPECT_THROW((void)data::DeserializeTrainingInstance(near_miss), Error)
+          << "near miss " << k;
+      records.push_back(forged_mix::SealAndSign(tess, label, near_miss, drbg));
+      expected.push_back(0);
+      const auto w = static_cast<std::uint32_t>(1 + rng.NextU64() % 6);
+      const auto h = static_cast<std::uint32_t>(1 + rng.NextU64() % 6);
+      const auto c = static_cast<std::uint32_t>(1 + rng.NextU64() % 3);
+      records.push_back(forged_mix::SealAndSign(
+          tess, label,
+          forged_mix::InstanceBlob(w, h, c, label, std::size_t{w} * h * c, rng),
+          drbg));
+      expected.push_back(1);
+    }
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const bool ingest =
+          data::OpenCheckedInstance(records[i], cipher).has_value();
+      EXPECT_EQ(ingest, data::OpenRecord(records[i], cipher).has_value())
+          << "record " << i;
+      EXPECT_EQ(ingest, expected[i] != 0) << "record " << i;
+    }
+    for (const std::size_t batch : {1U, 5U, 14U}) {
+      EXPECT_EQ(server.AuthenticateRecords(records, batch), expected)
+          << "batch size " << batch;
+    }
+  }
+}
+
 TEST(ServerEdgeTest, ZeroFrontLayersReleaseHasEmptyFrontNet) {
   TrainingServer server;
   Participant alice("alice", IntensityDataset(16, 303), 304);

@@ -651,5 +651,71 @@ TEST(SchnorrTest, VerifyBatchAgreesWithSerialVerify) {
   }
 }
 
+TEST(SchnorrTest, VerifyBatchRejectsExactlySwappedMessages) {
+  // The RLC weights are seeded from the challenges, not the messages,
+  // so the challenges must carry the binding: two valid signatures
+  // under one key with their messages swapped fail, and only they do.
+  HmacDrbg drbg(BytesOf("schnorr swap fixture"));
+  const SchnorrKeyPair key = SchnorrGenerate(drbg);
+  std::vector<Bytes> messages;
+  std::vector<SchnorrBatchItem> items(16);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    messages.push_back(drbg.Generate(48));
+  }
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    items[i].public_value = key.public_value;
+    items[i].message = messages[i];
+    items[i].signature = SchnorrSign(key, messages[i], drbg);
+  }
+  ASSERT_TRUE(SchnorrVerifyBatch(items).empty());
+  std::swap(items[4].message, items[11].message);
+  EXPECT_EQ(SchnorrVerifyBatch(items), (std::vector<std::size_t>{4, 11}));
+}
+
+TEST(SchnorrTest, VerifyBatchSeededBatchesMatchSerialVerify) {
+  // Seeded batches of 1-64 items over 1-3 keys with 0-3 corruptions of
+  // every kind: the batch verdict equals per-item SchnorrVerify.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Bytes seed_bytes(8);
+    StoreLe64(seed_bytes.data(), seed);
+    HmacDrbg drbg(seed_bytes, BytesOf("schnorr random batch"));
+    std::vector<SchnorrKeyPair> keys(1 + drbg.GenerateU64() % 3);
+    for (SchnorrKeyPair& key : keys) key = SchnorrGenerate(drbg);
+    const std::size_t n = 1 + drbg.GenerateU64() % 64;
+    std::vector<Bytes> messages;
+    for (std::size_t i = 0; i < n; ++i) {
+      messages.push_back(drbg.Generate(16 + drbg.GenerateU64() % 64));
+    }
+    std::vector<SchnorrBatchItem> items(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const SchnorrKeyPair& key = keys[drbg.GenerateU64() % keys.size()];
+      items[i].public_value = key.public_value;
+      items[i].message = messages[i];
+      items[i].signature = SchnorrSign(key, messages[i], drbg);
+    }
+    for (std::uint64_t c = 0, count = drbg.GenerateU64() % 4; c < count;
+         ++c) {
+      SchnorrBatchItem& victim = items[drbg.GenerateU64() % n];
+      switch (drbg.GenerateU64() % 5) {
+        case 0: victim.signature.response ^= U128{1} << (c * 7); break;
+        case 1: victim.signature.commitment ^= U128{1} << (c * 5); break;
+        case 2: victim.message = messages[drbg.GenerateU64() % n]; break;
+        case 3: victim.public_value = keys[0].public_value + 1; break;
+        default: victim.signature.commitment = 0; break;
+      }
+    }
+    const std::vector<std::size_t> invalid = SchnorrVerifyBatch(items);
+    std::vector<std::size_t> serial_invalid;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!SchnorrVerify(items[i].public_value, items[i].message,
+                         items[i].signature)) {
+        serial_invalid.push_back(i);
+      }
+    }
+    EXPECT_EQ(invalid, serial_invalid);
+  }
+}
+
 }  // namespace
 }  // namespace caltrain::crypto

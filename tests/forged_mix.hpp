@@ -101,7 +101,7 @@ enum class Forgery {
   kOtherKey,       ///< signed by the other participant's key
   kFlipped,        ///< a covered field flipped after signing
   kWrongDataKey,   ///< valid signature, sealed under the wrong data key
-  kUndecodable,    ///< valid signature and tag, plaintext not an instance
+  kUndecodable,    ///< valid signature and tag, plaintext a NearMiss
   kLabelMismatch,  ///< valid signature and tag, inner label != outer
 };
 inline constexpr int kForgeryKinds = 8;
@@ -152,6 +152,84 @@ inline data::EncryptedRecord SealAndSign(const HeldKeys& keys, int label,
   record.signature = crypto::SerializeSignature(
       crypto::SchnorrSign(keys.signing_key, covered, drbg));
   return record;
+}
+
+/// How an undecodable plaintext is wrong.  Apart from kJunk, each is a
+/// near miss: a well-formed instance header wrong in exactly one way.
+enum class NearMiss {
+  kJunk,           ///< 8–72 random bytes
+  kZeroDim,        ///< w, h or c is 0
+  kNegativeDim,    ///< w, h or c is negative as i32
+  kAreaOverCount,  ///< w*h greater than the pixel count
+  kFlatMismatch,   ///< w*h within the count, Flat() != count
+  kShortPayload,   ///< float payload short by 1–3 bytes
+  kTrailing,       ///< 1–4 bytes after the float payload
+};
+inline constexpr int kNearMissKinds = 7;
+
+/// A serialized instance whose header fields are set directly.
+inline Bytes InstanceBlob(std::uint32_t w, std::uint32_t h, std::uint32_t c,
+                          int label, std::size_t pixels, Rng& rng) {
+  std::vector<float> values(pixels);
+  for (float& v : values) v = rng.UniformFloat();
+  ByteWriter writer;
+  writer.WriteU32(w);
+  writer.WriteU32(h);
+  writer.WriteU32(c);
+  writer.WriteU32(static_cast<std::uint32_t>(label));
+  writer.WriteF32Vector(values);
+  return writer.Take();
+}
+
+/// A seeded plaintext that is not a training instance, wrong as `kind`
+/// says; every other header field is consistent with a valid instance.
+inline Bytes UndecodableInstance(NearMiss kind, int label, Rng& rng) {
+  std::uint32_t dims[3] = {
+      static_cast<std::uint32_t>(1 + rng.NextU64() % 6),
+      static_cast<std::uint32_t>(1 + rng.NextU64() % 6),
+      static_cast<std::uint32_t>(1 + rng.NextU64() % 3)};
+  const std::size_t count = std::size_t{dims[0]} * dims[1] * dims[2];
+  const auto blob = [&](std::size_t pixels) {
+    return InstanceBlob(dims[0], dims[1], dims[2], label, pixels, rng);
+  };
+  switch (kind) {
+    case NearMiss::kJunk: {
+      Bytes junk(8 + rng.NextU64() % 64);
+      for (auto& byte : junk) byte = static_cast<std::uint8_t>(rng.NextU64());
+      return junk;
+    }
+    case NearMiss::kZeroDim:
+      dims[rng.NextU64() % 3] = 0;
+      return blob(count);
+    case NearMiss::kNegativeDim:
+      dims[rng.NextU64() % 3] =
+          static_cast<std::uint32_t>((rng.NextU64() & 1) != 0
+                                         ? 0x80000000U + rng.NextU64() % 4
+                                         : 0xffffffffU - rng.NextU64() % 4);
+      return blob(count);
+    case NearMiss::kAreaOverCount:
+      dims[0] = static_cast<std::uint32_t>(count / dims[1] + 1 +
+                                           rng.NextU64() % 3);
+      return blob(count);
+    case NearMiss::kFlatMismatch:
+      // Extra pixels, or one channel more than the pixels carry.
+      if ((rng.NextU64() & 1) != 0) return blob(count + 1 + rng.NextU64() % 3);
+      dims[2] += 1;
+      return blob(count);
+    case NearMiss::kShortPayload: {
+      Bytes out = blob(count);
+      out.resize(out.size() - 1 - rng.NextU64() % 3);
+      return out;
+    }
+    case NearMiss::kTrailing: {
+      Bytes out = blob(count);
+      for (std::uint64_t i = 0, n = 1 + rng.NextU64() % 4; i < n; ++i) {
+        out.push_back(static_cast<std::uint8_t>(rng.NextU64()));
+      }
+      return out;
+    }
+  }
+  return {};
 }
 
 /// One seed's mix: 2–9 clean records from each of `a` and `b`, every
@@ -250,9 +328,11 @@ inline Mix MakeMix(const HeldKeys& a, const HeldKeys& b, std::uint64_t seed) {
         break;
       }
       case Forgery::kUndecodable: {
-        Bytes junk(8 + rng.NextU64() % 64);
-        for (auto& byte : junk) byte = static_cast<std::uint8_t>(rng.NextU64());
-        record = SealAndSign(owner, random_label(), junk, drbg);
+        const int label = random_label();
+        const auto near_miss =
+            static_cast<NearMiss>(rng.NextU64() % kNearMissKinds);
+        record = SealAndSign(owner, label,
+                             UndecodableInstance(near_miss, label, rng), drbg);
         break;
       }
       case Forgery::kLabelMismatch: {
